@@ -8,8 +8,8 @@
 //!   request threads; the sharded registry and per-slot cache-line
 //!   isolation should scale near-linearly up to the core count.
 //! * **Convergence parity** — a sample of sites re-driven with synthetic
-//!   deterministic costs must produce *bit-identical* tuner logs to
-//!   direct tuners with the same seeds.
+//!   deterministic costs must make *bit-identical* decisions, iteration
+//!   by iteration, to direct tuners with the same seeds.
 //!
 //! Persists `BENCH_sites.json` at the workspace root. Thread counts for
 //! the throughput sweep can be overridden with
@@ -139,8 +139,10 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// (c) Convergence parity: drive a fresh site and a direct tuner with the
-/// same seed over the same deterministic synthetic costs; the tuner logs
-/// must be bit-identical.
+/// same seed over the same deterministic synthetic costs; every
+/// iteration's (algorithm, configuration, value) must be bit-identical —
+/// what each guard was handed and posted against what the direct tuner's
+/// `report_outcome` returned.
 fn convergence_parity(iterations: usize) -> bool {
     fn cost(alg: usize, config: &Configuration) -> f64 {
         [14.0, 8.0, 11.0][alg]
@@ -158,23 +160,31 @@ fn convergence_parity(iterations: usize) -> bool {
             Phase1Kind::NelderMead,
             seed,
         );
-        for _ in 0..iterations {
-            let (alg, config) = direct.next();
-            let v = cost(alg, &config);
-            direct.report_outcome(MeasureOutcome::Ok(v));
-        }
+        let direct_trace: Vec<_> = (0..iterations)
+            .map(|_| {
+                let (alg, config) = direct.next();
+                let v = cost(alg, &config);
+                let s = direct.report_outcome(MeasureOutcome::Ok(v));
+                (s.algorithm, s.config, s.value.to_bits())
+            })
+            .collect();
         let s = site(register(SiteSpec::algorithms(
             format!("bench-parity-{rep}"),
             specs(),
             NominalKind::EpsilonGreedy(0.10),
             seed,
         )));
-        for _ in 0..iterations {
-            let guard = s.pre();
-            let v = cost(guard.algorithm(), guard.config());
-            guard.post_outcome(MeasureOutcome::Ok(v));
-        }
-        s.with_tuner(|t| t.as_two_phase().unwrap().log() == direct.log())
+        let site_trace: Vec<_> = (0..iterations)
+            .map(|_| {
+                let guard = s.pre();
+                let (alg, config) = (guard.algorithm(), guard.config().clone());
+                let v = cost(alg, &config);
+                guard.post_outcome(MeasureOutcome::Ok(v));
+                (alg, config, v.to_bits())
+            })
+            .collect();
+        site_trace == direct_trace
+            && s.with_tuner(|t| t.as_two_phase().unwrap().iteration() == iterations)
     })
 }
 

@@ -4,11 +4,12 @@
 //! from the runtime samples observed for each algorithm: the Gradient
 //! Weighted and Sliding-Window AUC strategies look at the latest *iteration
 //! window* `[i0, i1]` of an algorithm's own samples, and Optimum Weighted at
-//! the best sample seen so far. This module centralizes that bookkeeping.
+//! the best sample seen so far. This module keeps exactly that and nothing
+//! more — a sample count, the best, worst and last values, and a ring of
+//! the latest `window` values — so a history's size is fixed however long
+//! the tuner runs.
 
-use crate::measure::Sample;
 use crate::robust::{MAX_MEASUREMENT_MS, RESOLUTION_FLOOR_MS};
-use crate::space::Configuration;
 
 /// Inverse of a runtime sample, clamped to the timer-resolution floor so
 /// the result is always finite and positive — the primitive under every
@@ -19,22 +20,40 @@ pub fn clamped_inverse(value: f64) -> f64 {
     1.0 / value.clamp(RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS)
 }
 
-/// History of runtime samples for one algorithm.
+/// Bounded summary of one algorithm's runtime samples.
 #[derive(Debug, Clone, Default)]
 pub struct AlgorithmHistory {
-    samples: Vec<Sample>,
-    best: Option<(usize, f64)>,
+    count: usize,
+    best: Option<f64>,
     worst: Option<f64>,
+    last: Option<f64>,
+    /// Length of the sliding window; 0 keeps no ring.
+    window: usize,
+    /// The latest `min(count, window)` values. Once full, slot
+    /// `count % window` holds the oldest value and is overwritten next.
+    ring: Vec<f64>,
 }
 
 impl AlgorithmHistory {
-    /// An empty history.
+    /// An empty history without a window: count, best, worst and last
+    /// only (what ε-Greedy and Optimum Weighted read).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record a new sample (measured value for `config` at global tuning
-    /// iteration `iteration`).
+    /// An empty history that also keeps its latest `window` values, for
+    /// the window-based weights.
+    pub fn windowed(window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        AlgorithmHistory {
+            window,
+            ..Self::default()
+        }
+    }
+
+    /// Record a new sample. Returns the index — in this algorithm's own
+    /// sample sequence — of the sample that left the window as a result,
+    /// if any.
     ///
     /// Recording is *total*: degenerate values are sanitized instead of
     /// panicking, because in online tuning they are produced by the live
@@ -43,7 +62,7 @@ impl AlgorithmHistory {
     /// (which the robust measurement layer should already have converted to
     /// failures) are recorded as `MAX_MEASUREMENT_MS`, the worst
     /// representable runtime.
-    pub fn record(&mut self, iteration: usize, config: Configuration, value: f64) {
+    pub fn record(&mut self, value: f64) -> Option<usize> {
         debug_assert!(
             value.is_finite(),
             "non-finite measurement {value} reached record(); \
@@ -54,43 +73,39 @@ impl AlgorithmHistory {
         } else {
             MAX_MEASUREMENT_MS
         };
-        let idx = self.samples.len();
-        if self.best.is_none_or(|(_, b)| value < b) {
-            self.best = Some((idx, value));
+        if self.best.is_none_or(|b| value < b) {
+            self.best = Some(value);
         }
         if self.worst.is_none_or(|w| value > w) {
             self.worst = Some(value);
         }
-        self.samples.push(Sample {
-            iteration,
-            config,
-            value,
-        });
+        self.last = Some(value);
+        let evicted = if self.window == 0 {
+            None
+        } else if self.ring.len() < self.window {
+            self.ring.push(value);
+            None
+        } else {
+            self.ring[self.count % self.window] = value;
+            Some(self.count - self.window)
+        };
+        self.count += 1;
+        evicted
     }
 
     /// Number of samples observed for this algorithm.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True if no samples have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// All recorded samples, in recording order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Best (minimal) measured value so far, with the sample holding it.
-    pub fn best(&self) -> Option<&Sample> {
-        self.best.map(|(i, _)| &self.samples[i])
+        self.count == 0
     }
 
     /// Best (minimal) measured value so far.
     pub fn best_value(&self) -> Option<f64> {
-        self.best.map(|(_, v)| v)
+        self.best
     }
 
     /// Worst (maximal) measured value so far — the scale the failure
@@ -101,16 +116,24 @@ impl AlgorithmHistory {
 
     /// The last measured value.
     pub fn last_value(&self) -> Option<f64> {
-        self.samples.last().map(|s| s.value)
+        self.last
     }
 
-    /// The latest iteration window of length at most `window`: the paper's
-    /// `[i0, i1]` over *this algorithm's own* sample sequence. Returns the
-    /// window as a slice of samples (most recent `window` entries).
-    pub fn latest_window(&self, window: usize) -> &[Sample] {
-        assert!(window > 0, "window must be positive");
-        let start = self.samples.len().saturating_sub(window);
-        &self.samples[start..]
+    /// The latest window of values, oldest first: the paper's `[i0, i1]`
+    /// over *this algorithm's own* sample sequence. Empty for a history
+    /// without a window.
+    pub fn window_values(&self) -> impl Iterator<Item = f64> + '_ {
+        // Once the ring is full, the oldest value sits where the next one
+        // will be written.
+        let oldest = if self.window > 0 && self.ring.len() == self.window {
+            self.count % self.window
+        } else {
+            0
+        };
+        self.ring[oldest..]
+            .iter()
+            .chain(&self.ring[..oldest])
+            .copied()
     }
 
     /// The paper's gradient over the latest window:
@@ -118,34 +141,34 @@ impl AlgorithmHistory {
     /// where indices are positions in this algorithm's own sample sequence.
     /// Performance is interpreted inversely to time, so a *positive* gradient
     /// means the algorithm is getting faster. Returns `None` with fewer than
-    /// two samples (no gradient is defined yet).
-    pub fn window_gradient(&self, window: usize) -> Option<f64> {
-        let w = self.latest_window(window);
-        if w.len() < 2 {
+    /// two values in the window (no gradient is defined yet).
+    pub fn window_gradient(&self) -> Option<f64> {
+        let len = self.ring.len();
+        if len < 2 {
             return None;
         }
-        let first = w.first().expect("len >= 2");
-        let last = w.last().expect("len >= 2");
-        let span = (w.len() - 1) as f64;
-        Some((clamped_inverse(last.value) - clamped_inverse(first.value)) / span)
+        let first = self.window_values().next().expect("len >= 2");
+        let last = self.last.expect("len >= 2");
+        let span = (len - 1) as f64;
+        Some((clamped_inverse(last) - clamped_inverse(first)) / span)
     }
 
     /// The paper's sliding-window area under the (inverse) performance curve:
-    /// `w_A = (Σ_{i=i0}^{i1} 1/m_{A,i}) / (i1 − i0)`.
+    /// `w_A = (Σ_{i=i0}^{i1} 1/m_{A,i}) / (i1 − i0)`, summed oldest first.
     ///
     /// With a single sample the denominator `i1 − i0` would be zero; we fall
     /// back to the single inverse value, which keeps the weight finite and
     /// strictly positive as the definition requires.
-    pub fn window_auc(&self, window: usize) -> Option<f64> {
-        let w = self.latest_window(window);
-        if w.is_empty() {
+    pub fn window_auc(&self) -> Option<f64> {
+        let len = self.ring.len();
+        if len == 0 {
             return None;
         }
-        let sum: f64 = w.iter().map(|s| clamped_inverse(s.value)).sum();
-        if w.len() == 1 {
+        let sum: f64 = self.window_values().map(clamped_inverse).sum();
+        if len == 1 {
             Some(sum)
         } else {
-            Some(sum / (w.len() - 1) as f64)
+            Some(sum / (len - 1) as f64)
         }
     }
 }
@@ -153,55 +176,74 @@ impl AlgorithmHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Configuration;
+    use crate::rng::Rng;
 
-    fn hist(values: &[f64]) -> AlgorithmHistory {
-        let mut h = AlgorithmHistory::new();
-        for (i, &v) in values.iter().enumerate() {
-            h.record(i, Configuration::empty(), v);
+    fn hist_w(window: usize, values: &[f64]) -> AlgorithmHistory {
+        let mut h = AlgorithmHistory::windowed(window);
+        for &v in values {
+            h.record(v);
         }
         h
+    }
+
+    fn hist(values: &[f64]) -> AlgorithmHistory {
+        hist_w(16, values)
     }
 
     #[test]
     fn best_tracks_minimum() {
         let h = hist(&[5.0, 3.0, 4.0, 3.5]);
         assert_eq!(h.best_value(), Some(3.0));
-        assert_eq!(h.best().unwrap().iteration, 1);
     }
 
     #[test]
-    fn best_prefers_earliest_on_tie() {
-        let h = hist(&[3.0, 3.0, 3.0]);
-        assert_eq!(h.best().unwrap().iteration, 0);
-    }
-
-    #[test]
-    fn latest_window_clamps_to_available() {
+    fn window_values_clamp_to_available_oldest_first() {
         let h = hist(&[1.0, 2.0, 3.0]);
-        assert_eq!(h.latest_window(16).len(), 3);
-        assert_eq!(h.latest_window(2).len(), 2);
-        assert_eq!(h.latest_window(2)[0].value, 2.0);
+        assert_eq!(h.window_values().collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
+        let h = hist_w(2, &[1.0, 2.0, 3.0]);
+        assert_eq!(h.window_values().collect::<Vec<_>>(), [2.0, 3.0]);
+    }
+
+    #[test]
+    fn windowless_history_keeps_only_the_summary() {
+        let mut h = AlgorithmHistory::new();
+        for v in [4.0, 2.0, 8.0] {
+            assert_eq!(h.record(v), None, "no window, nothing to evict");
+        }
+        assert_eq!(h.len(), 3);
+        assert_eq!(h.best_value(), Some(2.0));
+        assert_eq!(h.worst_value(), Some(8.0));
+        assert_eq!(h.last_value(), Some(8.0));
+        assert_eq!(h.window_values().count(), 0);
+        assert_eq!(h.window_gradient(), None);
+        assert_eq!(h.window_auc(), None);
+    }
+
+    #[test]
+    fn record_reports_the_sample_leaving_the_window() {
+        let mut h = AlgorithmHistory::windowed(3);
+        let evicted: Vec<_> = (0..6).map(|i| h.record(1.0 + i as f64)).collect();
+        assert_eq!(evicted, [None, None, None, Some(0), Some(1), Some(2)]);
     }
 
     #[test]
     fn gradient_positive_when_improving() {
         // Runtime falling 4 -> 2 means inverse performance rising: G > 0.
         let h = hist(&[4.0, 2.0]);
-        let g = h.window_gradient(16).unwrap();
+        let g = h.window_gradient().unwrap();
         assert!((g - (0.5 - 0.25)).abs() < 1e-12);
     }
 
     #[test]
     fn gradient_negative_when_degrading() {
         let h = hist(&[2.0, 4.0]);
-        assert!(h.window_gradient(16).unwrap() < 0.0);
+        assert!(h.window_gradient().unwrap() < 0.0);
     }
 
     #[test]
     fn gradient_zero_when_flat() {
         let h = hist(&[3.0, 3.0, 3.0, 3.0]);
-        assert_eq!(h.window_gradient(16), Some(0.0));
+        assert_eq!(h.window_gradient(), Some(0.0));
     }
 
     #[test]
@@ -209,33 +251,33 @@ mod tests {
         // Values inside the window do not matter, only the endpoints.
         let a = hist(&[4.0, 100.0, 2.0]);
         let b = hist(&[4.0, 0.001, 2.0]);
-        assert_eq!(a.window_gradient(16), b.window_gradient(16));
+        assert_eq!(a.window_gradient(), b.window_gradient());
     }
 
     #[test]
     fn gradient_undefined_for_single_sample() {
-        assert_eq!(hist(&[2.0]).window_gradient(16), None);
-        assert_eq!(hist(&[]).window_gradient(16), None);
+        assert_eq!(hist(&[2.0]).window_gradient(), None);
+        assert_eq!(hist(&[]).window_gradient(), None);
     }
 
     #[test]
     fn auc_matches_definition() {
         let h = hist(&[2.0, 4.0, 2.0]);
         // (1/2 + 1/4 + 1/2) / 2 = 0.625
-        assert!((h.window_auc(16).unwrap() - 0.625).abs() < 1e-12);
+        assert!((h.window_auc().unwrap() - 0.625).abs() < 1e-12);
     }
 
     #[test]
     fn auc_single_sample_is_inverse_value() {
         let h = hist(&[4.0]);
-        assert_eq!(h.window_auc(16), Some(0.25));
+        assert_eq!(h.window_auc(), Some(0.25));
     }
 
     #[test]
     fn auc_respects_window() {
-        let h = hist(&[1000.0, 2.0, 2.0]);
+        let h = hist_w(2, &[1000.0, 2.0, 2.0]);
         // Window of 2 drops the slow first sample: (1/2 + 1/2) / 1 = 1.0.
-        assert!((h.window_auc(2).unwrap() - 1.0).abs() < 1e-12);
+        assert!((h.window_auc().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -250,9 +292,9 @@ mod tests {
         // The degenerate case that used to poison the 1/m weights: a 0.0 ms
         // sample from a fast kernel under a coarse timer.
         let h = hist(&[2.0, 0.0]);
-        let g = h.window_gradient(16).unwrap();
+        let g = h.window_gradient().unwrap();
         assert!(g.is_finite());
-        let auc = h.window_auc(16).unwrap();
+        let auc = h.window_auc().unwrap();
         assert!(auc.is_finite() && auc > 0.0);
     }
 
@@ -265,8 +307,8 @@ mod tests {
             &[-7.0, 3.0],
         ] {
             let h = hist(stream);
-            assert!(h.window_gradient(16).unwrap().is_finite(), "{stream:?}");
-            let auc = h.window_auc(16).unwrap();
+            assert!(h.window_gradient().unwrap().is_finite(), "{stream:?}");
+            let auc = h.window_auc().unwrap();
             assert!(auc.is_finite() && auc > 0.0, "{stream:?}");
             assert!(h.best_value().unwrap() >= RESOLUTION_FLOOR_MS);
         }
@@ -275,9 +317,10 @@ mod tests {
     #[test]
     fn record_clamps_into_representable_band() {
         let h = hist(&[0.0, 1e308, -4.0]);
-        assert_eq!(h.samples()[0].value, RESOLUTION_FLOOR_MS);
-        assert_eq!(h.samples()[1].value, MAX_MEASUREMENT_MS);
-        assert_eq!(h.samples()[2].value, RESOLUTION_FLOOR_MS);
+        assert_eq!(
+            h.window_values().collect::<Vec<_>>(),
+            [RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS, RESOLUTION_FLOOR_MS]
+        );
     }
 
     #[test]
@@ -285,6 +328,80 @@ mod tests {
         for v in [0.0, -1.0, 5e-324, 1e-308, 1.0, 1e308, f64::MAX] {
             let inv = clamped_inverse(v);
             assert!(inv.is_finite() && inv > 0.0, "inverse of {v} was {inv}");
+        }
+    }
+
+    /// The unbounded reference: every value kept, the window re-sliced from
+    /// the tail on each query — the shape of the history before it was
+    /// bounded.
+    fn naive_window(values: &[f64], window: usize) -> &[f64] {
+        &values[values.len().saturating_sub(window)..]
+    }
+
+    fn naive_gradient(values: &[f64], window: usize) -> Option<f64> {
+        let w = naive_window(values, window);
+        if w.len() < 2 {
+            return None;
+        }
+        let span = (w.len() - 1) as f64;
+        Some((clamped_inverse(w[w.len() - 1]) - clamped_inverse(w[0])) / span)
+    }
+
+    fn naive_auc(values: &[f64], window: usize) -> Option<f64> {
+        let w = naive_window(values, window);
+        let sum: f64 = w.iter().map(|&v| clamped_inverse(v)).sum();
+        match w.len() {
+            0 => None,
+            1 => Some(sum),
+            n => Some(sum / (n - 1) as f64),
+        }
+    }
+
+    #[test]
+    fn bounded_history_is_bit_identical_to_the_unbounded_reference() {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        let mut rng = Rng::new(0x4157_0123);
+        for window in 1..=64 {
+            for _ in 0..3 {
+                let mut h = AlgorithmHistory::windowed(window);
+                let mut reference: Vec<f64> = Vec::new();
+                let len = rng.pick_index(4 * window + 8);
+                for _ in 0..len {
+                    let v = match rng.pick_index(10) {
+                        0 => 0.0,
+                        1 => 1e308,
+                        2 => -3.0,
+                        3 => 5e-324,
+                        _ => rng.next_range_f64(1e-3, 100.0),
+                    };
+                    let evicted = h.record(v);
+                    reference.push(v.clamp(RESOLUTION_FLOOR_MS, MAX_MEASUREMENT_MS));
+                    let n = reference.len();
+                    assert_eq!(evicted, n.checked_sub(window + 1), "w={window} n={n}");
+                    assert_eq!(h.len(), n);
+                    assert!(h.ring.len() <= window, "ring outgrew its window");
+                    assert_eq!(
+                        bits(h.window_gradient()),
+                        bits(naive_gradient(&reference, window)),
+                        "gradient w={window} n={n}"
+                    );
+                    assert_eq!(
+                        bits(h.window_auc()),
+                        bits(naive_auc(&reference, window)),
+                        "auc w={window} n={n}"
+                    );
+                    let min = reference.iter().copied().fold(f64::INFINITY, f64::min);
+                    let max = reference.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    assert_eq!(bits(h.best_value()), bits(Some(min)));
+                    assert_eq!(bits(h.worst_value()), bits(Some(max)));
+                    assert_eq!(bits(h.last_value()), bits(reference.last().copied()));
+                    let expected = naive_window(&reference, window).iter();
+                    assert!(h
+                        .window_values()
+                        .map(f64::to_bits)
+                        .eq(expected.map(|v| v.to_bits())));
+                }
+            }
         }
     }
 }

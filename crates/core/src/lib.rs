@@ -86,7 +86,7 @@ pub mod two_phase;
 pub mod prelude {
     pub use crate::context::{ContextGuard, ContextKey, ContextSites, ContextStats, KeyStats};
     pub use crate::drift::{DriftConfig, DriftMonitor, Verdict};
-    pub use crate::measure::{duration_ms, time_ms, Context, Measure, Sample};
+    pub use crate::measure::{duration_ms, time_ms, Measure, Sample};
     pub use crate::mixed::MixedTuner;
     pub use crate::nominal::{
         EpsilonGradient, EpsilonGreedy, GradientWeighted, NominalStrategy, OptimumWeighted,

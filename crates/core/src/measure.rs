@@ -1,4 +1,4 @@
-//! Measurement functions, contexts, and samples.
+//! Measurement functions and samples.
 //!
 //! The paper defines autotuning as minimizing a measurement function
 //! `m_K : T → ℝ` for a fixed context `K = (K_A, K_S)` describing the
@@ -6,72 +6,8 @@
 //! for deterministic tests this crate also supports arbitrary synthetic cost
 //! functions.
 
-use crate::json::{Json, JsonError};
 use crate::space::Configuration;
 use std::time::{Duration, Instant};
-
-/// The tuning context `K = (K_A, K_S)`: which application on which system.
-/// The paper assumes the context constant during tuning; we carry it along
-/// for bookkeeping and result labeling.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Context {
-    /// `K_A`: the application (e.g. "string-matching/bible").
-    pub application: String,
-    /// `K_S`: the system (e.g. hostname or CPU model).
-    pub system: String,
-}
-
-impl Context {
-    /// A context from explicit application and system labels.
-    pub fn new(application: impl Into<String>, system: impl Into<String>) -> Self {
-        Context {
-            application: application.into(),
-            system: system.into(),
-        }
-    }
-
-    /// A context labeled with the current host, for quick experiments.
-    ///
-    /// The kernel's own record (`/proc/sys/kernel/hostname`) is consulted
-    /// first: `$HOSTNAME` is a shell variable that interactive bash sets but
-    /// does not export, so it is typically absent in non-interactive shells
-    /// (cron, CI, `sh -c`), which used to mislabel every result file as
-    /// "localhost". The env var remains as a fallback for non-Linux hosts.
-    pub fn here(application: impl Into<String>) -> Self {
-        let system = std::fs::read_to_string("/proc/sys/kernel/hostname")
-            .ok()
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .or_else(|| std::env::var("HOSTNAME").ok().filter(|s| !s.is_empty()))
-            .unwrap_or_else(|| "localhost".to_string());
-        Context::new(application, system)
-    }
-
-    /// JSON encoding: `{"application": ..., "system": ...}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("application", Json::Str(self.application.clone())),
-            ("system", Json::Str(self.system.clone())),
-        ])
-    }
-
-    /// Inverse of [`Context::to_json`].
-    pub fn from_json(json: &Json) -> Result<Context, JsonError> {
-        let field = |key: &str| {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError {
-                    message: format!("context needs a string '{key}' field"),
-                    offset: 0,
-                })
-        };
-        Ok(Context {
-            application: field("application")?,
-            system: field("system")?,
-        })
-    }
-}
 
 /// One observation: configuration `C_i` produced measurement `m(C_i)` at
 /// tuning iteration `i`.
@@ -83,55 +19,6 @@ pub struct Sample {
     pub config: Configuration,
     /// Measured value (lower is better; typically seconds).
     pub value: f64,
-}
-
-impl Sample {
-    /// JSON encoding: `{"iteration": ..., "config": ..., "value": ...}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("iteration", Json::Num(self.iteration as f64)),
-            ("config", self.config.to_json()),
-            ("value", Json::Num(self.value)),
-        ])
-    }
-
-    /// Inverse of [`Sample::to_json`].
-    pub fn from_json(json: &Json) -> Result<Sample, JsonError> {
-        let fail = |m: &str| JsonError {
-            message: m.to_string(),
-            offset: 0,
-        };
-        let raw_iteration = json
-            .get("iteration")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| fail("sample needs an iteration"))?;
-        // `as usize` would silently turn NaN into 0 and saturate negatives
-        // and huge values; a corrupted results file must be an error, not a
-        // quietly relabeled sample.
-        if !(raw_iteration.is_finite()
-            && raw_iteration >= 0.0
-            && raw_iteration.fract() == 0.0
-            && raw_iteration <= usize::MAX as f64)
-        {
-            return Err(fail(&format!(
-                "sample iteration must be a non-negative integer, got {raw_iteration}"
-            )));
-        }
-        let iteration = raw_iteration as usize;
-        let config = Configuration::from_json(
-            json.get("config")
-                .ok_or_else(|| fail("sample needs a config"))?,
-        )?;
-        let value = json
-            .get("value")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| fail("sample needs a value"))?;
-        Ok(Sample {
-            iteration,
-            config,
-            value,
-        })
-    }
 }
 
 /// A measurement function `m_K : T → ℝ`. Implemented by the application
@@ -198,59 +85,5 @@ mod tests {
     fn duration_conversion() {
         assert_eq!(duration_ms(Duration::from_millis(250)), 250.0);
         assert!((duration_ms(Duration::from_micros(1500)) - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn here_prefers_the_kernel_hostname_record() {
-        // On Linux the kernel record must win (HOSTNAME is usually unset in
-        // non-interactive shells); elsewhere the fallback chain applies.
-        if let Ok(h) = std::fs::read_to_string("/proc/sys/kernel/hostname") {
-            let h = h.trim();
-            if !h.is_empty() {
-                assert_eq!(Context::here("app").system, h);
-            }
-        }
-    }
-
-    #[test]
-    fn sample_json_round_trip() {
-        let s = Sample {
-            iteration: 17,
-            config: Configuration::empty(),
-            value: 2.25,
-        };
-        let back = Sample::from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn sample_from_json_rejects_bad_iterations() {
-        let encode = |iteration: f64| {
-            Json::obj(vec![
-                ("iteration", Json::Num(iteration)),
-                ("config", Configuration::empty().to_json()),
-                ("value", Json::Num(1.0)),
-            ])
-        };
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 2.5, 1e300] {
-            let err = Sample::from_json(&encode(bad)).unwrap_err();
-            assert!(
-                err.message.contains("non-negative integer"),
-                "iteration {bad} should be rejected, got: {}",
-                err.message
-            );
-        }
-        // Boundary cases that must stay representable.
-        assert_eq!(Sample::from_json(&encode(0.0)).unwrap().iteration, 0);
-        assert_eq!(Sample::from_json(&encode(4096.0)).unwrap().iteration, 4096);
-    }
-
-    #[test]
-    fn context_labels() {
-        let k = Context::new("app", "sys");
-        assert_eq!(k.application, "app");
-        assert_eq!(k.system, "sys");
-        let h = Context::here("app2");
-        assert!(!h.system.is_empty());
     }
 }

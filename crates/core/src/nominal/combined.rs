@@ -36,7 +36,7 @@ impl EpsilonGradient {
         );
         assert!(window >= 2, "gradient needs a window of at least 2");
         EpsilonGradient {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, Some(window), seed),
             epsilon,
             window,
         }
@@ -54,7 +54,7 @@ impl EpsilonGradient {
         let n = self.num_algorithms().min(out.len());
         for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
             *w = h
-                .window_gradient(self.window)
+                .window_gradient()
                 .map(GradientWeighted::weight_of_gradient)
                 .or(if h.is_empty() { None } else { Some(2.0) })
                 .unwrap_or(f64::NAN);
@@ -104,7 +104,7 @@ impl NominalStrategy for EpsilonGradient {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

@@ -41,7 +41,7 @@ impl EpsilonGreedy {
             "epsilon must be a probability, got {epsilon}"
         );
         EpsilonGreedy {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, None, seed),
             epsilon,
         }
     }

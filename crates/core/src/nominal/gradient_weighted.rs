@@ -37,7 +37,7 @@ impl GradientWeighted {
     pub fn new(num_algorithms: usize, window: usize, seed: u64) -> Self {
         assert!(window >= 2, "gradient needs a window of at least 2");
         GradientWeighted {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, Some(window), seed),
             window,
         }
     }
@@ -70,7 +70,7 @@ impl NominalStrategy for GradientWeighted {
         let n = self.num_algorithms().min(out.len());
         for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
             *w = h
-                .window_gradient(self.window)
+                .window_gradient()
                 .map(Self::weight_of_gradient)
                 .or(if h.is_empty() { None } else { Some(2.0) })
                 .unwrap_or(f64::NAN);
@@ -79,7 +79,7 @@ impl NominalStrategy for GradientWeighted {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

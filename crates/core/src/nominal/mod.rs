@@ -101,34 +101,37 @@ pub trait NominalStrategy: Send {
     /// runtime), or `None` before any sample.
     fn best(&self) -> Option<usize>;
 
-    /// Per-algorithm sample histories (for analysis and plots).
+    /// Per-algorithm sample histories: bounded summaries (count, best,
+    /// worst, last and the strategy's window), not every sample.
     fn histories(&self) -> &[AlgorithmHistory];
 
     /// Display name, including parameterization (e.g. `e-greedy(10%)`).
     fn name(&self) -> String;
 }
 
-/// Shared bookkeeping for the strategy implementations: histories plus an
-/// iteration counter.
+/// Shared bookkeeping for the strategy implementations: one bounded
+/// history per algorithm plus the selection RNG.
 #[derive(Debug, Clone)]
 pub(crate) struct SelectionState {
     pub histories: Vec<AlgorithmHistory>,
-    pub iteration: usize,
     pub rng: Rng,
 }
 
 impl SelectionState {
-    pub fn new(num_algorithms: usize, seed: u64) -> Self {
+    /// `window`: the strategy's sliding window, or `None` for strategies
+    /// whose weights read no window (their histories keep no ring).
+    pub fn new(num_algorithms: usize, window: Option<usize>, seed: u64) -> Self {
         assert!(num_algorithms > 0, "need at least one algorithm");
+        let history = || window.map_or_else(AlgorithmHistory::new, AlgorithmHistory::windowed);
         SelectionState {
-            histories: (0..num_algorithms)
-                .map(|_| AlgorithmHistory::new())
-                .collect(),
-            iteration: 0,
+            histories: (0..num_algorithms).map(|_| history()).collect(),
             rng: Rng::new(seed),
         }
     }
 
+    /// Record a sample for `algorithm`, emitting a
+    /// [`telemetry`](crate::telemetry) eviction event when it pushes the
+    /// oldest sample out of the algorithm's window.
     pub fn record(&mut self, algorithm: usize, value: f64) {
         // Non-finite values are measurement failures that bypassed the
         // robust layer; convert them to the failure penalty so the tuning
@@ -138,12 +141,12 @@ impl SelectionState {
         } else {
             crate::robust::failure_penalty(&self.histories)
         };
-        self.histories[algorithm].record(
-            self.iteration,
-            crate::space::Configuration::empty(),
-            value,
-        );
-        self.iteration += 1;
+        if let Some(evicted) = self.histories[algorithm].record(value) {
+            crate::telemetry::emit(|| crate::telemetry::EventKind::WindowEvicted {
+                algorithm: algorithm as u16,
+                evicted_sample: evicted as u64,
+            });
+        }
     }
 
     /// Index of the algorithm with the lowest best observed runtime.
@@ -160,21 +163,6 @@ impl SelectionState {
     /// order).
     pub fn first_unseen(&self) -> Option<usize> {
         self.histories.iter().position(AlgorithmHistory::is_empty)
-    }
-
-    /// Like [`record`](Self::record), for strategies whose weights look at
-    /// a sliding window of `window` samples: additionally emits a
-    /// [`telemetry`](crate::telemetry) eviction event when the new sample
-    /// pushes the oldest one out of the algorithm's logical window.
-    pub fn record_windowed(&mut self, algorithm: usize, value: f64, window: usize) {
-        self.record(algorithm, value);
-        let len = self.histories[algorithm].len();
-        if len > window {
-            crate::telemetry::emit(|| crate::telemetry::EventKind::WindowEvicted {
-                algorithm: algorithm as u16,
-                evicted_sample: (len - window - 1) as u64,
-            });
-        }
     }
 }
 
@@ -243,7 +231,7 @@ mod tests {
 
     #[test]
     fn selection_state_tracks_best_and_unseen() {
-        let mut s = SelectionState::new(3, 0);
+        let mut s = SelectionState::new(3, None, 0);
         assert_eq!(s.first_unseen(), Some(0));
         assert_eq!(s.best(), None);
         s.record(1, 5.0);
@@ -259,12 +247,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_algorithms_rejected() {
-        SelectionState::new(0, 0);
+        SelectionState::new(0, None, 0);
     }
 
     #[test]
     fn non_finite_reports_become_penalties() {
-        let mut s = SelectionState::new(2, 0);
+        let mut s = SelectionState::new(2, None, 0);
         s.record(0, 10.0);
         s.record(1, f64::NAN);
         let v = s.histories[1].last_value().unwrap();

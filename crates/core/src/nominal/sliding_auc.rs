@@ -32,7 +32,7 @@ impl SlidingWindowAuc {
     pub fn new(num_algorithms: usize, window: usize, seed: u64) -> Self {
         assert!(window >= 1, "window must be positive");
         SlidingWindowAuc {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, Some(window), seed),
             window,
         }
     }
@@ -51,13 +51,13 @@ impl NominalStrategy for SlidingWindowAuc {
     fn weights_into(&self, out: &mut [f64]) {
         let n = self.num_algorithms().min(out.len());
         for (w, h) in out[..n].iter_mut().zip(&self.state.histories) {
-            *w = h.window_auc(self.window).unwrap_or(f64::NAN);
+            *w = h.window_auc().unwrap_or(f64::NAN);
         }
         fill_unseen_optimistic(&mut out[..n]);
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

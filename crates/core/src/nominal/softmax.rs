@@ -21,7 +21,6 @@ use crate::nominal::{NominalStrategy, SelectionState};
 pub struct Softmax {
     state: SelectionState,
     temperature: f64,
-    window: usize,
 }
 
 impl Softmax {
@@ -31,9 +30,8 @@ impl Softmax {
         assert!(temperature > 0.0, "temperature must be positive");
         assert!(window >= 1, "window must be positive");
         Softmax {
-            state: SelectionState::new(num_algorithms, seed),
+            state: SelectionState::new(num_algorithms, Some(window), seed),
             temperature,
-            window,
         }
     }
 
@@ -59,11 +57,11 @@ impl NominalStrategy for Softmax {
         let n = self.num_algorithms().min(out.len());
         let q = &mut out[..n];
         for (v, h) in q.iter_mut().zip(&self.state.histories) {
-            let w = h.latest_window(self.window);
-            *v = if w.is_empty() {
+            let len = h.window_values().count();
+            *v = if len == 0 {
                 f64::NAN
             } else {
-                w.iter().map(|s| 1.0 / s.value).sum::<f64>() / w.len() as f64
+                h.window_values().map(|m| 1.0 / m).sum::<f64>() / len as f64
             };
         }
         // Unseen algorithms take the maximum observed action value.
@@ -95,7 +93,7 @@ impl NominalStrategy for Softmax {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.state.record_windowed(algorithm, value, self.window);
+        self.state.record(algorithm, value);
     }
 
     fn best(&self) -> Option<usize> {

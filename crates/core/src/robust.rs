@@ -773,8 +773,8 @@ mod tests {
     #[test]
     fn failure_penalty_scales_worst_observed() {
         let mut h = crate::history::AlgorithmHistory::new();
-        h.record(0, cfg(), 10.0);
-        h.record(1, cfg(), 25.0);
+        h.record(10.0);
+        h.record(25.0);
         let hs = [h, crate::history::AlgorithmHistory::new()];
         assert_eq!(failure_penalty(&hs), 100.0);
     }

@@ -1118,7 +1118,7 @@ mod tests {
         // model; here all bodies are ~equal, so just check the protocol).
         s.with_tuner(|t| {
             let tp = t.as_two_phase().unwrap();
-            assert_eq!(tp.log().len(), 300);
+            assert_eq!(tp.iteration(), 300);
         });
     }
 
@@ -1295,18 +1295,18 @@ mod tests {
         for _ in 0..40 {
             s.tuned(|_, _| {});
         }
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 40));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iteration(), 40));
         assert_eq!(s.restarts(), 0);
         s.restart();
         assert_eq!(s.restarts(), 1);
         // Learned state is gone; traffic counters are not.
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 0));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iteration(), 0));
         assert_eq!(s.calls(), 40);
         // The published decision is still valid and the site keeps tuning.
         let (algo, _) = s.slot.read_decision();
         assert!(algo < 3);
         s.tuned(|_, _| {});
-        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().log().len(), 1));
+        s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iteration(), 1));
     }
 
     #[test]

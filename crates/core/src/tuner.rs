@@ -72,7 +72,6 @@ pub struct OnlineTuner<S: Searcher> {
     searcher: S,
     termination: Termination,
     iteration: usize,
-    log: Vec<Sample>,
     /// Iterations since the best value last improved meaningfully.
     plateau_len: usize,
     plateau_best: f64,
@@ -94,7 +93,6 @@ impl<S: Searcher> OnlineTuner<S> {
             searcher,
             termination,
             iteration: 0,
-            log: Vec::new(),
             plateau_len: 0,
             plateau_best: f64::INFINITY,
             worst: None,
@@ -271,7 +269,6 @@ impl<S: Searcher> OnlineTuner<S> {
             value,
         };
         self.iteration += 1;
-        self.log.push(sample.clone());
         sample
     }
 
@@ -282,25 +279,19 @@ impl<S: Searcher> OnlineTuner<S> {
     }
 
     /// Run until the termination criterion is met (or `max_steps` as a
-    /// safety bound for [`Termination::Converged`]). Returns the samples.
-    pub fn run<M: Measure>(&mut self, measure: &mut M, max_steps: usize) -> &[Sample] {
-        let start = self.log.len();
-        let mut steps = 0;
-        while !self.done() && steps < max_steps {
-            self.step(measure);
-            steps += 1;
+    /// safety bound for [`Termination::Converged`]). Returns the samples
+    /// of this run; the tuner itself keeps none.
+    pub fn run<M: Measure>(&mut self, measure: &mut M, max_steps: usize) -> Vec<Sample> {
+        let mut samples = Vec::new();
+        while !self.done() && samples.len() < max_steps {
+            samples.push(self.step(measure));
         }
-        &self.log[start..]
+        samples
     }
 
     /// Best observed configuration and value.
     pub fn best(&self) -> Option<(&Configuration, f64)> {
         self.searcher.best()
-    }
-
-    /// Full sample log.
-    pub fn log(&self) -> &[Sample] {
-        &self.log
     }
 
     /// Access the wrapped searcher.
@@ -510,12 +501,13 @@ mod tests {
     }
 
     #[test]
-    fn log_matches_iterations() {
+    fn run_returns_one_sample_per_iteration() {
         let mut t = OnlineTuner::new(RandomSearch::new(space(), 3), Termination::Iterations(10));
         let mut m = |c: &Configuration| cost(c);
-        t.run(&mut m, 100);
-        assert_eq!(t.log().len(), 10);
-        for (i, s) in t.log().iter().enumerate() {
+        let samples = t.run(&mut m, 100);
+        assert_eq!(samples.len(), 10);
+        assert_eq!(t.iteration(), 10);
+        for (i, s) in samples.iter().enumerate() {
             assert_eq!(s.iteration, i);
         }
     }

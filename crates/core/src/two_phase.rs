@@ -180,7 +180,6 @@ pub struct TwoPhaseTuner {
     /// their `report()`.
     pending: Option<(usize, Configuration)>,
     best: Option<(usize, Configuration, f64)>,
-    log: Vec<TwoPhaseSample>,
     /// Per-algorithm count of failed measurements.
     failures: Vec<usize>,
 }
@@ -232,7 +231,6 @@ impl TwoPhaseTuner {
             iteration: 0,
             pending: None,
             best: None,
-            log: Vec::new(),
             failures,
         }
     }
@@ -317,7 +315,6 @@ impl TwoPhaseTuner {
             failed: false,
         };
         self.iteration += 1;
-        self.log.push(sample.clone());
         sample
     }
 
@@ -357,7 +354,6 @@ impl TwoPhaseTuner {
             failed: true,
         };
         self.iteration += 1;
-        self.log.push(sample.clone());
         sample
     }
 
@@ -437,8 +433,9 @@ impl TwoPhaseTuner {
     /// The sample enters the strategy's per-algorithm history (so the
     /// algorithm counts as "seen", carries a selection weight, and the
     /// initial round-robin exploration of unseen algorithms is skipped),
-    /// but **not** the iteration log: seeded knowledge is prior belief,
-    /// not a measurement of this context. Non-finite values are ignored.
+    /// but does **not** count as a tuning iteration: seeded knowledge is
+    /// prior belief, not a measurement of this context. Non-finite values
+    /// are ignored.
     ///
     /// Panics if called between [`TwoPhaseTuner::next`] and its report —
     /// seeding is a construction-time operation.
@@ -485,9 +482,11 @@ impl TwoPhaseTuner {
         self.strategy.best()
     }
 
-    /// Full iteration log (for convergence plots).
-    pub fn log(&self) -> &[TwoPhaseSample] {
-        &self.log
+    /// Completed tuning iterations. The tuner keeps no per-iteration log:
+    /// each sample is handed back by [`report`](Self::report) and
+    /// [`step`](Self::step), and telemetry records one event per iteration.
+    pub fn iteration(&self) -> usize {
+        self.iteration
     }
 
     /// Per-algorithm histories from the phase-2 strategy.
@@ -599,15 +598,19 @@ mod tests {
         // Weighted strategies "achieve tuning progress on all algorithms
         // more or less simultaneously" (Section IV-B).
         let mut t = TwoPhaseTuner::new(tunable_specs(), NominalKind::SlidingWindowAuc(16), 7);
+        let mut first = [None; 2];
         for _ in 0..600 {
-            t.step(tunable_costs);
+            let s = t.step(tunable_costs);
+            first[s.algorithm].get_or_insert(s.value);
         }
         let hists = t.histories();
         for (i, h) in hists.iter().enumerate() {
             assert!(h.len() > 100, "algorithm {i} starved: {} samples", h.len());
             let best = h.best_value().unwrap();
-            let first = h.samples()[0].value;
-            assert!(best < first, "algorithm {i} made no tuning progress");
+            assert!(
+                best < first[i].unwrap(),
+                "algorithm {i} made no tuning progress"
+            );
         }
     }
 
@@ -639,17 +642,14 @@ mod tests {
     }
 
     #[test]
-    fn log_records_every_iteration_in_order() {
+    fn step_returns_every_iteration_in_order() {
         let mut t = TwoPhaseTuner::new(untunable_specs(), NominalKind::OptimumWeighted, 13);
-        for _ in 0..50 {
-            t.step(fixed_costs);
-        }
-        let log = t.log();
-        assert_eq!(log.len(), 50);
-        for (i, s) in log.iter().enumerate() {
+        for i in 0..50 {
+            let s = t.step(fixed_costs);
             assert_eq!(s.iteration, i);
             assert!(s.algorithm < 3);
         }
+        assert_eq!(t.iteration(), 50);
     }
 
     #[test]
@@ -735,7 +735,7 @@ mod tests {
                 _ => MeasureOutcome::Ok(tunable_costs(alg, c)),
             });
         }
-        assert_eq!(t.log().len(), 400);
+        assert_eq!(t.iteration(), 400);
         assert!(t.failure_counts().iter().sum::<usize>() > 40);
         assert!(t.best().is_some());
     }

@@ -117,7 +117,7 @@ fn two_phase_survives_ten_percent_faults_and_converges() {
             counts[sample.algorithm] += 1;
         }
         let name = tuner.strategy_name();
-        assert_eq!(tuner.log().len(), ITERS, "{name}: loop must complete");
+        assert_eq!(tuner.iteration(), ITERS, "{name}: loop must complete");
         let injected: usize = tuner.failure_counts().iter().sum();
         assert!(injected > 20, "{name}: expected ~50 faults, got {injected}");
         assert_eq!(

@@ -477,7 +477,7 @@ fn site_json(name: &str, s: Site) -> Json {
                 "exploit_algorithm",
                 Json::Str(tp.algorithm_name(exploit).into()),
             ));
-            pairs.push(("log_len", Json::Num(tp.log().len() as f64)));
+            pairs.push(("log_len", Json::Num(tp.iteration() as f64)));
             pairs.push((
                 "selection_counts",
                 Json::Arr(

@@ -20,6 +20,8 @@ use algochoice::autotune::two_phase::Phase1Kind;
 /// UCB1 over *inverse* runtimes (reward = 1/ms, scaled into [0, 1]).
 struct Ucb1 {
     histories: Vec<AlgorithmHistory>,
+    /// Per-arm sum of rewards, so `select` never rescans old samples.
+    reward_sums: Vec<f64>,
     iteration: usize,
     reward_scale: f64,
 }
@@ -30,19 +32,14 @@ impl Ucb1 {
             histories: (0..num_algorithms)
                 .map(|_| AlgorithmHistory::new())
                 .collect(),
+            reward_sums: vec![0.0; num_algorithms],
             iteration: 0,
             reward_scale,
         }
     }
 
     fn mean_reward(&self, a: usize) -> f64 {
-        let h = &self.histories[a];
-        let sum: f64 = h
-            .samples()
-            .iter()
-            .map(|s| self.reward_scale / s.value)
-            .sum();
-        sum / h.len() as f64
+        self.reward_sums[a] / self.histories[a].len() as f64
     }
 }
 
@@ -68,7 +65,10 @@ impl NominalStrategy for Ucb1 {
     }
 
     fn report(&mut self, algorithm: usize, value: f64) {
-        self.histories[algorithm].record(self.iteration, Configuration::empty(), value);
+        let h = &mut self.histories[algorithm];
+        h.record(value);
+        // The history clamps degenerate values; reward what it recorded.
+        self.reward_sums[algorithm] += self.reward_scale / h.last_value().expect("just recorded");
         self.iteration += 1;
     }
 

@@ -261,7 +261,7 @@ fn two_phase_tuner_conserves_iterations() {
             tuner.step(|alg, _| 1.0 + alg as f64);
         }
         assert_eq!(tuner.selection_counts().iter().sum::<usize>(), iters);
-        assert_eq!(tuner.log().len(), iters);
+        assert_eq!(tuner.iteration(), iters);
         assert_eq!(tuner.best().unwrap().0, tuner.best_algorithm().unwrap());
     }
 }

@@ -5,10 +5,13 @@
 //!    *bit-identical* to driving the underlying tuner directly with the
 //!    same seeds: every claim CAS succeeds, so the site adds dispatch and
 //!    publication but no behavioral difference. Both the two-phase and the
-//!    single-space tuner flavors are checked sample-by-sample.
+//!    single-space tuner flavors are checked sample-by-sample: the
+//!    (algorithm, configuration, value) each guard was handed and posted
+//!    against what the direct tuner's `report_outcome` / `tell_outcome`
+//!    returned.
 //! 2. **Multi-thread stress** — counters never lose updates, every
 //!    completed call is either a tuned iteration or an exploit call, and
-//!    the tuner's log length equals the tuned-iteration count exactly
+//!    the tuner's iteration count equals the tuned-iteration count exactly
 //!    (the claim discipline keeps the ask/tell protocol serialized).
 //! 3. **Seqlock validity under fire** — concurrent exploit readers only
 //!    ever observe configurations inside the search space while a writer
@@ -62,11 +65,14 @@ fn single_thread_two_phase_equivalence() {
         Phase1Kind::NelderMead,
         SEED,
     );
-    for _ in 0..ITERS {
-        let (alg, config) = direct.next();
-        let v = cost(alg, &config);
-        direct.report_outcome(MeasureOutcome::Ok(v));
-    }
+    let direct_trace: Vec<_> = (0..ITERS)
+        .map(|_| {
+            let (alg, config) = direct.next();
+            let v = cost(alg, &config);
+            let s = direct.report_outcome(MeasureOutcome::Ok(v));
+            (s.algorithm, s.config, s.value.to_bits())
+        })
+        .collect();
 
     let s = site(register(SiteSpec::algorithms(
         "equiv-two-phase",
@@ -74,21 +80,26 @@ fn single_thread_two_phase_equivalence() {
         NominalKind::EpsilonGreedy(0.10),
         SEED,
     )));
-    for _ in 0..ITERS {
-        let guard = s.pre();
-        assert!(guard.is_tuning(), "single-threaded claims always win");
-        let v = cost(guard.algorithm(), guard.config());
-        guard.post_outcome(MeasureOutcome::Ok(v));
-    }
+    let site_trace: Vec<_> = (0..ITERS)
+        .map(|_| {
+            let guard = s.pre();
+            assert!(guard.is_tuning(), "single-threaded claims always win");
+            let (alg, config) = (guard.algorithm(), guard.config().clone());
+            let v = cost(alg, &config);
+            guard.post_outcome(MeasureOutcome::Ok(v));
+            (alg, config, v.to_bits())
+        })
+        .collect();
 
+    assert_eq!(
+        site_trace, direct_trace,
+        "site dispatch must be bit-identical to the direct tuner"
+    );
     s.with_tuner(|t| {
-        let site_log = t.as_two_phase().unwrap().log();
-        assert_eq!(site_log.len(), ITERS);
-        assert_eq!(
-            site_log,
-            direct.log(),
-            "site dispatch must be bit-identical to the direct tuner"
-        );
+        let tp = t.as_two_phase().unwrap();
+        assert_eq!(tp.iteration(), ITERS);
+        assert_eq!(tp.selection_counts(), direct.selection_counts());
+        assert_eq!(tp.exploit_choice(), direct.exploit_choice());
     });
 }
 
@@ -103,24 +114,33 @@ fn single_thread_single_space_equivalence() {
 
     let searcher = Phase1Kind::NelderMead.build(&AlgorithmSpec::new("equiv", space.clone()), SEED);
     let mut direct = OnlineTuner::new(searcher, Termination::Never);
-    for _ in 0..ITERS {
-        let config = direct.ask();
-        let v = cost(1, &config);
-        direct.tell_outcome(MeasureOutcome::Ok(v));
-    }
+    let direct_trace: Vec<_> = (0..ITERS)
+        .map(|_| {
+            let config = direct.ask();
+            let v = cost(1, &config);
+            let s = direct.tell_outcome(MeasureOutcome::Ok(v));
+            (0, s.config, s.value.to_bits())
+        })
+        .collect();
 
     let s = site(register(SiteSpec::space("equiv-space", space, SEED)));
-    for _ in 0..ITERS {
-        let guard = s.pre();
-        assert_eq!(guard.algorithm(), 0, "single-space sites have one arm");
-        let v = cost(1, guard.config());
-        guard.post_outcome(MeasureOutcome::Ok(v));
-    }
+    let site_trace: Vec<_> = (0..ITERS)
+        .map(|_| {
+            let guard = s.pre();
+            assert!(guard.is_tuning(), "single-threaded claims always win");
+            assert_eq!(guard.algorithm(), 0, "single-space sites have one arm");
+            let config = guard.config().clone();
+            let v = cost(1, &config);
+            guard.post_outcome(MeasureOutcome::Ok(v));
+            (0, config, v.to_bits())
+        })
+        .collect();
 
+    assert_eq!(site_trace, direct_trace);
     s.with_tuner(|t| {
-        let site_log = t.as_single().unwrap().log();
-        assert_eq!(site_log.len(), ITERS);
-        assert_eq!(site_log, direct.log());
+        let single = t.as_single().unwrap();
+        assert_eq!(single.iteration(), ITERS);
+        assert_eq!(single.best(), direct.best());
     });
 }
 
@@ -176,9 +196,9 @@ fn stress_no_lost_updates_across_eight_threads() {
         assert!(tuned > 0, "site {i}: at least one tuning iteration ran");
         s.with_tuner(|t| {
             assert_eq!(
-                t.as_two_phase().unwrap().log().len() as u64,
+                t.as_two_phase().unwrap().iteration() as u64,
                 tuned,
-                "site {i}: tuner log must match the tuned-iteration count"
+                "site {i}: tuner iterations must match the tuned-iteration count"
             );
         });
     }
