@@ -26,7 +26,9 @@
 //! * **Parking** — an evicted key's tuner is parked in a side map, not
 //!   destroyed. If the key returns, its tuner is reinstated verbatim:
 //!   re-admission round-trips learned state bit-identically (pinned by
-//!   `tests/context_runtime.rs`).
+//!   `tests/context_runtime.rs`). Only an open proposal's partial score
+//!   ([`crate::site::SiteGuard::post`]) is lost: [`Site::rebind`]
+//!   abandons it, so a parked tuner carries no pending ask.
 //! * **Warm-starting** — a key seen for the first time seeds its tuner
 //!   from the nearest neighbor's posterior (per-algorithm incumbents →
 //!   phase-1 starting configurations and phase-2 selection weights, see
@@ -133,8 +135,9 @@ fn alloc_context_id() -> u32 {
 pub struct KeyStats {
     /// Completed calls dispatched for this key.
     pub calls: u64,
-    /// Calls that ran a full tuning iteration (the rest took the
-    /// published exploit decision).
+    /// Calls that won the site claim and ran the open tuning proposal
+    /// (the rest took the published exploit decision). A sample may span
+    /// several of them ([`crate::site::Site::tuned_iterations`]).
     pub tuned_iterations: u64,
     /// Times this key was admitted to a slot (first admission + every
     /// reinstatement after an eviction).
@@ -647,7 +650,9 @@ impl ContextGuard {
     }
 
     /// Report the elapsed wall time since dispatch as the call's
-    /// measurement; returns the measured milliseconds.
+    /// measurement, scored like [`crate::site::SiteGuard::post`]: a
+    /// claim winner's time joins the open proposal's score. Returns the
+    /// measured milliseconds.
     pub fn post(mut self) -> f64 {
         let guard = self.guard.take().expect("guard posted twice");
         telemetry::with_context(self.context, || guard.post())
@@ -655,7 +660,8 @@ impl ContextGuard {
     }
 
     /// Report an explicit [`MeasureOutcome`] (an externally batched
-    /// timing, or a failure) instead of the guard's own wall clock.
+    /// timing, or a failure) instead of the guard's own wall clock: one
+    /// complete sample, as [`crate::site::SiteGuard::post_outcome`].
     pub fn post_outcome(mut self, outcome: MeasureOutcome) {
         let guard = self.guard.take().expect("guard posted twice");
         telemetry::with_context(self.context, || guard.post_outcome(outcome));

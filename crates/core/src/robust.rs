@@ -78,11 +78,14 @@ pub fn clamp_measurement(value: f64) -> f64 {
 /// Target span of one batched measurement, in ticks of the measured timer
 /// resolution: [`batched_time_ms`] doubles the batch until `k` back-to-back
 /// calls cover at least this many ticks, so the ±1-tick quantization error
-/// on the whole batch is at most ~1/32 ≈ 3% of each per-call value.
+/// on the whole batch is at most ~1/32 ≈ 3% of each per-call value. A
+/// tuning site closes a sample scored over consecutive real calls at the
+/// same span ([`crate::site::SiteGuard::post`]).
 pub const BATCH_TARGET_QUANTA: f64 = 32.0;
 
-/// Upper bound on the adaptive batch size. A call so cheap that even this
-/// many repetitions stay under the target span is timed as the whole batch
+/// Upper bound on the adaptive batch size, and on the calls a tuning site
+/// scores one proposal over. A call so cheap that even this many
+/// repetitions stay under the target span is timed as the whole batch
 /// anyway — per-call resolution degrades gracefully instead of the loop
 /// running away on a sub-nanosecond closure.
 pub const MAX_BATCH: usize = 1024;
@@ -155,10 +158,12 @@ pub fn batched_time_ms_with(
 /// calls are re-run back-to-back and the batch wall time divided by the
 /// batch size. Returns the per-call milliseconds.
 ///
-/// This is the timing primitive µs-scale workloads must use on the tuning
-/// path: under a coarse timer, single-shot values collapse onto the clock
-/// grid (and then onto [`RESOLUTION_FLOOR_MS`]), erasing the very
-/// differences the tuner exists to rank.
+/// Under a coarse timer, single-shot values collapse onto the clock grid
+/// (and then onto [`RESOLUTION_FLOOR_MS`]), erasing the very differences
+/// a tuner exists to rank; this is the primitive for timing a closure the
+/// caller can afford to re-run. Tuning sites do not re-run the
+/// application's calls: they score a proposal over consecutive real
+/// calls to the same span ([`crate::site::SiteGuard::post`]).
 pub fn batched_time_ms(mut f: impl FnMut()) -> f64 {
     let resolution = timer_resolution_ms();
     let origin = Instant::now();

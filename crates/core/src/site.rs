@@ -58,12 +58,20 @@
 //! claim word. A thread entering a site tries one
 //! `compare_exchange(0 → 1, Acquire)`:
 //!
-//! * **Winner** — drives a real tuning iteration: `next()` on the embedded
-//!   tuner, runs the chosen algorithm, `report()`s the measured time, then
-//!   publishes the tuner's current exploit choice and releases the claim
-//!   with a `Release` store. The Acquire/Release pairing on the claim word
-//!   makes all tuner mutations happen-before the next winner's accesses —
-//!   the same discipline as a spinlock, except nobody ever spins.
+//! * **Winner** — runs the site's *open proposal*: the tuner's pending
+//!   ask, or a fresh `next()` when none is open. The winner's own call is
+//!   the measurement. [`SiteGuard::post`] adds its single guard-clock
+//!   reading to the proposal's running sum, so a call cheaper than the
+//!   timer tick is scored over `k` consecutive real calls instead of
+//!   being re-run. The sample closes — one `report()` of `sum / k`, then
+//!   one publish of the tuner's exploit choice — once the sum spans
+//!   [`BATCH_TARGET_QUANTA`] ticks of [`timer_resolution_ms`] or `k`
+//!   reaches [`MAX_BATCH`] (the same constants
+//!   [`crate::robust::batched_time_ms`] uses); a call that already spans
+//!   the target closes it alone. The winner releases the claim with a
+//!   `Release` store. The Acquire/Release pairing on the claim word makes
+//!   all tuner mutations happen-before the next winner's accesses — the
+//!   same discipline as a spinlock, except nobody ever spins.
 //! * **Loser** — does *not* wait. It reads the most recently *published*
 //!   decision (best algorithm + its best-known configuration) through a
 //!   seqlock and runs that, unmeasured. Contended calls therefore cost one
@@ -93,14 +101,15 @@
 //! interleaves thousands of sites and can still be split per site at
 //! export time.
 //!
-//! Single-threaded use is *bit-identical* to driving the underlying tuner
-//! directly (the claim CAS always succeeds, so every call is a full tuning
-//! iteration with the same seeds) — property-tested in
+//! Single-threaded use through [`SiteGuard::post_outcome`] is
+//! *bit-identical* to driving the underlying tuner directly (the claim
+//! CAS always succeeds and every outcome closes one sample, so every call
+//! is a full tuning iteration with the same seeds) — property-tested in
 //! `tests/site_runtime.rs`.
 
 use crate::measure::duration_ms;
 use crate::param::Value;
-use crate::robust::MeasureOutcome;
+use crate::robust::{timer_resolution_ms, MeasureOutcome, BATCH_TARGET_QUANTA, MAX_BATCH};
 use crate::search::Searcher;
 use crate::space::{Configuration, Constraint, SearchSpace};
 use crate::telemetry::{self, EventKind, MeasureStatus};
@@ -503,16 +512,45 @@ impl Drop for ReleaseClaim<'_> {
     }
 }
 
-/// The claim-guarded mutable state of a slot: the live tuner and the
-/// blueprint it was built from. Both travel together because
-/// [`Site::rebind`] swaps them as a unit — the recipe must always
-/// describe the installed tuner, or [`Site::restart`] would rebuild the
-/// wrong binding.
+/// The claim-guarded mutable state of a slot: the live tuner, the
+/// blueprint it was built from and the proposal being scored. They travel
+/// together because [`Site::rebind`] swaps them as a unit — the recipe
+/// must always describe the installed tuner, or [`Site::restart`] would
+/// rebuild the wrong binding, and an open proposal is the installed
+/// tuner's pending ask.
 struct SlotState {
     tuner: SiteTuner,
     /// The binding blueprint, kept so [`Site::restart`] can rebuild a
     /// fresh tuner (same spec, same seed) after workload drift.
     recipe: SiteSpec,
+    /// The tuner's pending ask, scored over consecutive claim-winning
+    /// calls until its sample closes (see [`SiteGuard::post`]).
+    open: Option<OpenProposal>,
+}
+
+impl SlotState {
+    /// Drop the open proposal, rolling back the tuner's pending ask, so
+    /// the tuner can be parked, replaced or asked again.
+    fn abandon_open(&mut self) {
+        if self.open.take().is_some() {
+            self.tuner.abandon();
+        }
+    }
+}
+
+/// The summed guard-clock time at which an open proposal's sample closes:
+/// [`BATCH_TARGET_QUANTA`] ticks of [`timer_resolution_ms`].
+fn sample_target_ms() -> f64 {
+    BATCH_TARGET_QUANTA * timer_resolution_ms()
+}
+
+/// A proposal being scored: what claim winners run, and the guard-clock
+/// readings posted against it so far.
+struct OpenProposal {
+    algorithm: usize,
+    config: Configuration,
+    sum_ms: f64,
+    runs: usize,
 }
 
 // SAFETY: `state` is only accessed between a successful
@@ -550,7 +588,11 @@ impl SiteSlot {
             id,
             name,
             num_algorithms: AtomicU32::new(num_algorithms as u32),
-            state: UnsafeCell::new(SlotState { tuner, recipe }),
+            state: UnsafeCell::new(SlotState {
+                tuner,
+                recipe,
+                open: None,
+            }),
         };
         // Publish the initial exploit decision (the hand-crafted start or
         // the space's minimum corner) so the exploit fast path is valid
@@ -646,7 +688,10 @@ impl Site {
         self.slot.contended.load(Ordering::Relaxed)
     }
 
-    /// Calls that ran a full tuning iteration.
+    /// Calls that won the claim and ran the site's open tuning proposal.
+    /// A sample may span several of them ([`SiteGuard::post`]), so this
+    /// counts calls; the tuner's own iteration count is the number of
+    /// closed samples.
     pub fn tuned_iterations(self) -> u64 {
         self.calls() - self.contended()
     }
@@ -660,7 +705,8 @@ impl Site {
 
     /// Throw away all learned state and rebuild the tuner from the
     /// registration recipe (same algorithm set, same strategies, same
-    /// seed), re-widening the search after workload drift.
+    /// seed), re-widening the search after workload drift. An open
+    /// proposal is abandoned first; its partial score is lost.
     ///
     /// Spins for the claim like [`Site::with_tuner`], so it must not be
     /// called from a thread that already holds it (e.g. inside
@@ -679,6 +725,7 @@ impl Site {
         }
         // SAFETY: this thread holds the claim (see `Sync` impl).
         let state = unsafe { &mut *slot.state.get() };
+        state.abandon_open();
         let (tuner, _name) = SiteTuner::build(state.recipe.clone());
         state.tuner = tuner;
         let (algo, config) = state.tuner.exploit_choice();
@@ -689,7 +736,9 @@ impl Site {
 
     /// Rebind this site to a new blueprint, returning the outgoing tuner:
     /// the slot-recycling primitive behind
-    /// [`crate::context::ContextSites`]. Install `tuner` verbatim if
+    /// [`crate::context::ContextSites`]. An open proposal is abandoned
+    /// first, so the outgoing tuner carries no pending ask and can be
+    /// parked and later reinstated as is. Install `tuner` verbatim if
     /// `Some` (a previously parked state, so an evicted context's
     /// re-admission is bit-identical) or a cold build from `spec`
     /// otherwise; `spec` becomes the new [`Site::restart`] recipe either
@@ -723,6 +772,7 @@ impl Site {
         }
         // SAFETY: this thread holds the claim (see `Sync` impl).
         let state = unsafe { &mut *slot.state.get() };
+        state.abandon_open();
         let outgoing = std::mem::replace(&mut state.tuner, incoming);
         state.recipe = spec;
         slot.num_algorithms
@@ -734,8 +784,9 @@ impl Site {
     }
 
     /// Enter the site (Tuna's `tuna_pre`): pick the algorithm and
-    /// configuration to run — a fresh tuner proposal if this thread wins
-    /// the claim CAS, the published exploit decision otherwise. Pair with
+    /// configuration to run — the site's open proposal (a fresh tuner
+    /// proposal when none is open) if this thread wins the claim CAS, the
+    /// published exploit decision otherwise. Pair with
     /// [`SiteGuard::post`] / [`SiteGuard::post_outcome`] around the
     /// interchangeable code, or drop the guard to abandon the call.
     pub fn pre(self) -> SiteGuard {
@@ -749,9 +800,19 @@ impl Site {
             let bomb = ReleaseClaim(slot);
             // SAFETY: this thread holds the claim (see `Sync` impl).
             let proposal = telemetry::with_site(slot.id.tag(), || {
-                let tuner = unsafe { &mut (*slot.state.get()).tuner };
+                let state = unsafe { &mut *slot.state.get() };
+                if let Some(open) = &state.open {
+                    return Some((open.algorithm, open.config.clone()));
+                }
+                let tuner = &mut state.tuner;
                 let (a, c) = tuner.next();
                 if tuner.is_feasible(a, &c) {
+                    state.open = Some(OpenProposal {
+                        algorithm: a,
+                        config: c.clone(),
+                        sum_ms: 0.0,
+                        runs: 0,
+                    });
                     Some((a, c))
                 } else {
                     // The searcher could not repair its proposal into the
@@ -855,8 +916,9 @@ impl std::fmt::Debug for Site {
 /// In-flight call through a [`Site`]: carries the chosen algorithm and
 /// configuration from [`Site::pre`] to [`SiteGuard::post`] (Tuna's
 /// `tuna_stack`). Dropping the guard without calling a `post` method
-/// abandons the call: the tuner rolls back its proposal and no sample or
-/// call is recorded.
+/// abandons the call: no call is recorded, and a proposal no call has
+/// posted against yet is rolled back in the tuner, while one with posted
+/// runs stays open with its partial score.
 pub struct SiteGuard {
     site: Site,
     algorithm: usize,
@@ -877,43 +939,84 @@ impl SiteGuard {
         &self.config
     }
 
-    /// Did this call win the claim race (a full tuning iteration) rather
-    /// than take the exploit fast path?
+    /// Did this call win the claim race (it runs the site's open proposal
+    /// and is scored) rather than take the exploit fast path?
     pub fn is_tuning(&self) -> bool {
         self.claimed
     }
 
-    /// Complete the call (Tuna's `tuna_post`): report the elapsed wall
-    /// time since [`Site::pre`] to the site's tuner (claim winners) or
-    /// just record the call (exploit fast path). Returns the elapsed
-    /// milliseconds.
-    pub fn post(mut self) -> f64 {
+    /// Complete the call (Tuna's `tuna_post`) and return the elapsed
+    /// milliseconds since [`Site::pre`]. A claim winner adds them to the
+    /// open proposal's score: the sample closes, reporting the mean over
+    /// its runs to the tuner and publishing the new exploit decision,
+    /// once the summed time spans [`BATCH_TARGET_QUANTA`] ticks of
+    /// [`timer_resolution_ms`] or the run count reaches [`MAX_BATCH`];
+    /// until then the proposal stays open for the next claim winner. An
+    /// exploit-path call is just recorded.
+    pub fn post(self) -> f64 {
         let ms = duration_ms(self.start.elapsed());
-        self.finish(MeasureOutcome::Ok(ms));
+        self.post_ms(ms)
+    }
+
+    /// [`SiteGuard::post`] with the call's time given in milliseconds.
+    fn post_ms(mut self, ms: f64) -> f64 {
+        let outcome = if self.claimed {
+            self.score_run(ms)
+        } else {
+            Some(MeasureOutcome::Ok(ms))
+        };
+        self.finish(outcome);
         ms
     }
 
     /// Complete the call with an explicit measurement outcome — for
     /// callers timing through the robust pipeline
     /// ([`crate::robust::robust_call`]) instead of the guard's own clock.
-    /// Failures and timeouts feed the tuner's penalty path.
+    /// The outcome is one complete sample: it closes the open proposal
+    /// (dropping any partial score of earlier [`SiteGuard::post`]s), and
+    /// failures and timeouts feed the tuner's penalty path.
     pub fn post_outcome(mut self, outcome: MeasureOutcome) {
-        self.finish(outcome);
+        if self.claimed {
+            // SAFETY: this thread holds the claim (see `Sync` impl).
+            unsafe { (*self.site.slot.state.get()).open = None };
+        }
+        self.finish(Some(outcome));
     }
 
-    fn finish(&mut self, outcome: MeasureOutcome) {
+    /// Add one run of `ms` to the open proposal; returns the closed
+    /// sample's outcome, or `None` while the proposal stays open. Claim
+    /// holders only.
+    fn score_run(&mut self, ms: f64) -> Option<MeasureOutcome> {
+        // SAFETY: this thread holds the claim (see `Sync` impl).
+        let open = unsafe { &mut (*self.site.slot.state.get()).open };
+        let p = open.as_mut()?;
+        p.sum_ms += ms;
+        p.runs += 1;
+        if p.sum_ms < sample_target_ms() && p.runs < MAX_BATCH {
+            return None;
+        }
+        let p = open.take()?;
+        Some(MeasureOutcome::Ok(p.sum_ms / p.runs as f64))
+    }
+
+    /// Record the call; `outcome` is the sample a claim winner closes
+    /// (`None` while its proposal stays open) or an exploit call's own
+    /// measurement.
+    fn finish(&mut self, outcome: Option<MeasureOutcome>) {
         self.finished = true;
         let slot = self.site.slot;
         if self.claimed {
-            telemetry::with_site(slot.id.tag(), || {
-                // SAFETY: this thread holds the claim (see `Sync` impl).
-                let tuner = unsafe { &mut (*slot.state.get()).tuner };
-                tuner.report_outcome(outcome);
-                let (algo, config) = tuner.exploit_choice();
-                slot.publish(algo, &config);
-            });
+            if let Some(outcome) = outcome {
+                telemetry::with_site(slot.id.tag(), || {
+                    // SAFETY: this thread holds the claim (see `Sync` impl).
+                    let tuner = unsafe { &mut (*slot.state.get()).tuner };
+                    tuner.report_outcome(outcome);
+                    let (algo, config) = tuner.exploit_choice();
+                    slot.publish(algo, &config);
+                });
+            }
             slot.claim.store(0, Ordering::Release);
-        } else {
+        } else if let Some(outcome) = outcome {
             // Exploit fast path: the tuner never sees this sample, but the
             // trace still shows the site's activity.
             let algorithm = self.algorithm as u16;
@@ -944,7 +1047,10 @@ impl Drop for SiteGuard {
         let slot = self.site.slot;
         if self.claimed {
             // SAFETY: this thread holds the claim (see `Sync` impl).
-            unsafe { &mut (*slot.state.get()).tuner }.abandon();
+            let state = unsafe { &mut *slot.state.get() };
+            if state.open.as_ref().is_some_and(|p| p.runs == 0) {
+                state.abandon_open();
+            }
             slot.claim.store(0, Ordering::Release);
         }
         // Abandoned calls are not counted: nothing ran to completion.
@@ -1103,6 +1209,30 @@ mod tests {
         }
     }
 
+    /// Spin until the calling closure spans the sample target, so the
+    /// guard's `post` closes one sample per call (`k = 1`).
+    fn spin_past_target() {
+        let t0 = Instant::now();
+        while duration_ms(t0.elapsed()) < sample_target_ms() {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Runs posted against the site's open proposal, `None` when none is
+    /// open.
+    fn open_runs(s: Site) -> Option<usize> {
+        // SAFETY: `with_tuner` holds the claim while the closure runs.
+        s.with_tuner(|_| {
+            unsafe { &(*s.slot.state.get()).open }
+                .as_ref()
+                .map(|p| p.runs)
+        })
+    }
+
+    fn iteration(s: Site) -> usize {
+        s.with_tuner(|t| t.as_two_phase().unwrap().iteration())
+    }
+
     #[test]
     fn single_site_converges_like_a_two_phase_tuner() {
         let id = register(three_algo_spec("converges", 3));
@@ -1110,6 +1240,7 @@ mod tests {
         for _ in 0..300 {
             s.tuned(|alg, _| {
                 std::hint::black_box([30u64, 5, 15][alg]);
+                spin_past_target();
             });
         }
         assert_eq!(s.calls(), 300);
@@ -1293,7 +1424,7 @@ mod tests {
         let id = register(three_algo_spec("restart", 37));
         let s = site(id);
         for _ in 0..40 {
-            s.tuned(|_, _| {});
+            s.tuned(|_, _| spin_past_target());
         }
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iteration(), 40));
         assert_eq!(s.restarts(), 0);
@@ -1305,8 +1436,121 @@ mod tests {
         // The published decision is still valid and the site keeps tuning.
         let (algo, _) = s.slot.read_decision();
         assert!(algo < 3);
-        s.tuned(|_, _| {});
+        s.tuned(|_, _| spin_past_target());
         s.with_tuner(|t| assert_eq!(t.as_two_phase().unwrap().iteration(), 1));
+    }
+
+    #[test]
+    fn sub_target_posts_close_one_sample_at_their_mean() {
+        let s = site(register(three_algo_spec("amortized-mean", 47)));
+        let mut longest = 0;
+        for sample in 0..10 {
+            let mut posted = Vec::new();
+            let mut algorithm = None;
+            while iteration(s) == sample {
+                let g = s.pre();
+                assert!(g.is_tuning());
+                // Every call of one sample runs the same proposal.
+                assert_eq!(*algorithm.get_or_insert(g.algorithm()), g.algorithm());
+                posted.push(g.post());
+            }
+            assert_eq!(iteration(s), sample + 1, "one sample per closure");
+            assert_eq!(open_runs(s), None);
+            let mean = posted.iter().sum::<f64>() / posted.len() as f64;
+            let recorded = s.with_tuner(|t| {
+                t.as_two_phase().unwrap().histories()[algorithm.unwrap()].last_value()
+            });
+            assert_eq!(recorded.map(f64::to_bits), Some(mean.to_bits()));
+            longest = longest.max(posted.len());
+        }
+        assert_eq!(s.tuned_iterations(), s.calls());
+        assert!(longest > 1, "no-op calls span less than the target: k > 1");
+    }
+
+    #[test]
+    fn failure_mid_accumulation_takes_the_penalty_path() {
+        let s = site(register(three_algo_spec("amortized-failure", 53)));
+        let g = s.pre();
+        let proposal = (g.algorithm(), g.config().clone());
+        g.post_ms(sample_target_ms() / 4.0);
+        assert_eq!(open_runs(s), Some(1));
+        assert_eq!(iteration(s), 0);
+        let g = s.pre();
+        assert_eq!((g.algorithm(), g.config().clone()), proposal);
+        g.post_outcome(MeasureOutcome::Failed("boom".into()));
+        assert_eq!(open_runs(s), None);
+        assert_eq!(iteration(s), 1);
+        s.with_tuner(|t| {
+            assert_eq!(t.as_two_phase().unwrap().failure_counts()[proposal.0], 1);
+        });
+        // The next claim asks the tuner again instead of panicking.
+        s.tuned(|_, _| {});
+        assert_eq!(open_runs(s), Some(1));
+    }
+
+    #[test]
+    fn dropped_guard_rolls_back_only_an_unscored_proposal() {
+        let s = site(register(three_algo_spec("amortized-drop", 59)));
+        drop(s.pre());
+        assert_eq!(open_runs(s), None, "runs = 0: the proposal is rolled back");
+        let g = s.pre();
+        let proposal = (g.algorithm(), g.config().clone());
+        let first = sample_target_ms() * 0.375;
+        g.post_ms(first);
+        let g = s.pre();
+        assert_eq!((g.algorithm(), g.config().clone()), proposal);
+        drop(g);
+        assert_eq!(open_runs(s), Some(1), "runs > 0: the partial score stays");
+        let second = sample_target_ms() * 0.75;
+        let g = s.pre();
+        assert_eq!((g.algorithm(), g.config().clone()), proposal);
+        g.post_ms(second);
+        assert_eq!(open_runs(s), None);
+        assert_eq!(iteration(s), 1);
+        let recorded =
+            s.with_tuner(|t| t.as_two_phase().unwrap().histories()[proposal.0].last_value());
+        assert_eq!(recorded, Some((first + second) / 2.0));
+        assert_eq!(s.calls(), 2, "dropped calls are not counted");
+    }
+
+    #[test]
+    fn max_batch_runs_close_a_sample() {
+        let s = site(register(three_algo_spec("amortized-cap", 61)));
+        let tiny = sample_target_ms() / (4 * MAX_BATCH) as f64;
+        for run in 1..MAX_BATCH {
+            s.pre().post_ms(tiny);
+            assert_eq!(open_runs(s), Some(run));
+        }
+        assert_eq!(iteration(s), 0);
+        s.pre().post_ms(tiny);
+        assert_eq!(open_runs(s), None);
+        assert_eq!(iteration(s), 1);
+        assert_eq!(s.calls(), MAX_BATCH as u64);
+    }
+
+    #[test]
+    fn rebind_and_restart_abandon_the_open_proposal() {
+        let spec = three_algo_spec("amortized-rebind", 67);
+        let s = site(register(spec.clone()));
+        s.pre().post_ms(sample_target_ms() / 8.0);
+        assert_eq!(open_runs(s), Some(1));
+        // Park the tuner and reinstate it: it carries no pending ask, so
+        // the next claim's `next()` does not panic.
+        let parked = s.rebind(spec.clone(), None);
+        s.rebind(spec, Some(parked));
+        assert_eq!(open_runs(s), None);
+        assert_eq!(iteration(s), 0);
+        let g = s.pre();
+        assert!(g.is_tuning());
+        g.post_outcome(MeasureOutcome::Ok(1.0));
+        assert_eq!(iteration(s), 1);
+        // Restart drops an open proposal along with the tuner.
+        s.pre().post_ms(sample_target_ms() / 8.0);
+        assert_eq!(open_runs(s), Some(1));
+        s.restart();
+        assert_eq!(open_runs(s), None);
+        s.pre().post_outcome(MeasureOutcome::Ok(1.0));
+        assert_eq!(iteration(s), 1);
     }
 
     #[test]

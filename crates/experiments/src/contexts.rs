@@ -29,7 +29,7 @@
 //! the logical key forever. Artifacts: `results/contexts.json` plus the
 //! raw trace in `results/contexts_trace.jsonl`.
 
-use crate::sortstudy::{CONV_TOLERANCE, CONV_WINDOW};
+use crate::sortstudy::{closed_samples, CONV_TOLERANCE, CONV_WINDOW};
 use autotune::json::Json;
 use autotune::rng::Rng;
 use autotune::robust::MeasureOutcome;
@@ -48,8 +48,9 @@ pub struct ContextsConfig {
     /// pairs and as warm-start seed classes. Probe classes are derived
     /// as the midpoints between consecutive entries.
     pub classes: Vec<u32>,
-    /// Sort requests per context key, for both the flip and the
-    /// warm-vs-cold streams (interleaved round-robin across keys).
+    /// Closed tuning samples per context key, for both the flip and the
+    /// warm-vs-cold streams: each key gets requests (interleaved
+    /// round-robin across keys) until its site has closed this many.
     pub requests_per_key: usize,
     /// Seed for request sizes, keys, and the per-key tuners.
     pub seed: u64,
@@ -100,7 +101,8 @@ pub struct KeyTable {
     pub presort: u32,
     /// The key's context id — the `context` field its trace lines carry.
     pub context: u32,
-    /// Sort requests dispatched to this key.
+    /// Sort requests dispatched to this key: as many as it took to close
+    /// the budgeted samples.
     pub requests: u64,
     /// Measured tuning iterations (successful `MeasureOutcome` events).
     pub measured: u64,
@@ -212,17 +214,27 @@ fn input_for(key: SortKey, rng: &mut Rng) -> Vec<u64> {
     }
 }
 
-/// Drive `requests` interleaved rounds over `keys` on every table in
-/// `tables`, giving each table a clone of the *same* input so the runs
-/// are directly comparable.
-fn drive(tables: &[&SortSites], keys: &[SortKey], requests: usize, rng: &mut Rng) {
-    for _round in 0..requests {
-        for &key in keys {
+/// Drive interleaved rounds over `keys` on every table in `tables` until
+/// each key's site in each table has closed `samples` samples, giving
+/// every table still short of its budget a clone of the *same* input, so
+/// the runs are directly comparable: each table sees a prefix of one
+/// input stream per key.
+fn drive(tables: &[&SortSites], keys: &[SortKey], samples: usize, rng: &mut Rng) {
+    let mut open = vec![vec![samples > 0; keys.len()]; tables.len()];
+    while open.iter().flatten().any(|&o| o) {
+        for (k, &key) in keys.iter().enumerate() {
+            if open.iter().all(|t| !t[k]) {
+                continue;
+            }
             let data = input_for(key, rng);
-            for table in tables {
+            for (t, table) in tables.iter().enumerate() {
+                if !open[t][k] {
+                    continue;
+                }
                 let mut copy = data.clone();
                 let (got, _ms) = smallsort::sort_request_keyed(table, &mut copy);
                 debug_assert_eq!(got, key, "input shaped for the wrong key");
+                open[t][k] = closed_samples(table, key) < samples;
             }
         }
     }
@@ -385,16 +397,17 @@ pub fn run_study(cfg: &ContextsConfig) -> ContextsStudy {
     // Rebuild all per-key tables from the trace, filtered by context id.
     let trace_jsonl = export::to_jsonl(&telemetry::drain());
     let events = export::parse_jsonl(&trace_jsonl).expect("own trace must round-trip");
-    let requests = cfg.requests_per_key as u64;
     let ctx = |table: &SortSites, key: &SortKey| {
         table
             .table()
             .context_id(key)
             .expect("driven key must have a context id")
     };
+    let requests =
+        |table: &SortSites, key: &SortKey| table.table().key_stats(key).map_or(0, |s| s.calls);
     let flip_tables: Vec<KeyTable> = flip_keys
         .iter()
-        .map(|&k| table_for(k, ctx(&flip, &k), requests, &events))
+        .map(|&k| table_for(k, ctx(&flip, &k), requests(&flip, &k), &events))
         .collect();
     let flipped_classes = cfg
         .classes
@@ -414,8 +427,8 @@ pub fn run_study(cfg: &ContextsConfig) -> ContextsStudy {
         .iter()
         .map(|&k| ProbePair {
             class: k.class,
-            warm: table_for(k, ctx(&warm, &k), requests, &events),
-            cold: table_for(k, ctx(&cold, &k), requests, &events),
+            warm: table_for(k, ctx(&warm, &k), requests(&warm, &k), &events),
+            cold: table_for(k, ctx(&cold, &k), requests(&cold, &k), &events),
         })
         .collect();
 
@@ -624,12 +637,10 @@ mod tests {
         assert_eq!(study.flip_tables.len(), 4);
         let mut contexts = std::collections::HashSet::new();
         for t in &study.flip_tables {
-            assert_eq!(t.requests, 60);
-            assert!(
-                t.measured > 0,
-                "key c{}/{} never measured",
-                t.class,
-                t.presort
+            assert_eq!(
+                t.measured, 60,
+                "key c{}/{}: one sample per budget unit",
+                t.class, t.presort
             );
             assert!(t.measured <= t.requests);
             assert_eq!(t.selections.iter().sum::<u64>(), t.measured);

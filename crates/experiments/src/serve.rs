@@ -14,9 +14,9 @@
 //! class sites (`serve/sort/{seed}/cNN`), so the service learns a
 //! *per-size-class* winner instead of one compromise sort. Because a
 //! small-array sort finishes in microseconds — under the timer tick —
-//! the sort path times tuning iterations with
-//! [`autotune::robust::batched_time_ms`] rather than a single
-//! `Instant` read.
+//! each class site scores a proposal over several consecutive sort
+//! requests ([`autotune::site::SiteGuard::post`]) instead of timing
+//! one.
 //!
 //! Each site is paired with a [`DriftMonitor`]. `OP_MORPH` requests
 //! switch the served workload mid-run (a 4× bigger corpus, a

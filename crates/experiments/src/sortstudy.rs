@@ -19,17 +19,20 @@
 //! `results/smallsort_trace.jsonl`.
 //!
 //! Because every request in the lower classes finishes far under the
-//! timer tick, the tuning path's measurements come from
-//! [`autotune::robust::batched_time_ms`]; the `measured_floor_ms` field
-//! records the host's measured tick so consumers can judge how many
-//! quanta the reported medians actually span.
+//! timer tick, a class site scores each proposal over several
+//! consecutive requests ([`autotune::site::SiteGuard::post`]), so the
+//! study budgets each class in closed samples, not requests: every class
+//! is driven until its site has closed `requests_per_class` samples, and
+//! `requests` reports how many sorts that took. The `measured_floor_ms`
+//! field records the host's measured tick so consumers can judge how
+//! many quanta the reported medians actually span.
 
 use autotune::json::Json;
 use autotune::rng::Rng;
 use autotune::stats;
 use autotune::telemetry::{self, export, Event, EventKind, MeasureStatus};
 use autotune::two_phase::NominalKind;
-use smallsort::{SortSites, ALGORITHM_NAMES};
+use smallsort::{SortKey, SortSites, ALGORITHM_NAMES, PRESORT_RANDOM};
 
 /// Scale knobs. Defaults are the *quick* profile.
 #[derive(Debug, Clone)]
@@ -37,8 +40,9 @@ pub struct SortStudyConfig {
     /// Size classes to drive (log2 of the class cap); defaults to the
     /// whole [`smallsort`] class range.
     pub classes: Vec<u32>,
-    /// Sort requests per class (interleaved round-robin across classes,
-    /// like a real mixed request stream).
+    /// Closed tuning samples per class: each class gets requests
+    /// (interleaved round-robin across classes, like a real mixed request
+    /// stream) until its site has closed this many samples.
     pub requests_per_class: usize,
     /// Seed for request sizes, keys, and the per-class tuners.
     pub seed: u64,
@@ -78,7 +82,8 @@ pub struct ClassTable {
     /// The class site's telemetry tag — the `site` field its trace lines
     /// carry in `smallsort_trace.jsonl`.
     pub tag: u16,
-    /// Sort requests dispatched to this class.
+    /// Sort requests dispatched to this class: as many as it took to
+    /// close the budgeted samples.
     pub requests: u64,
     /// Measured tuning iterations (successful `MeasureOutcome` events).
     pub measured: u64,
@@ -120,13 +125,27 @@ impl SortStudy {
     }
 }
 
-/// Drive the interleaved request stream and leave the trace in the
-/// telemetry ring. Returns the sites and per-class request counts.
+/// Samples `key`'s site has closed — the unit study budgets count in. A
+/// sub-tick sort scores its proposal over several requests, so requests
+/// would overcount them.
+pub(crate) fn closed_samples(sites: &SortSites, key: SortKey) -> usize {
+    sites
+        .table()
+        .with_tuner_for(&key, |t| t.as_two_phase().map_or(0, |tp| tp.iteration()))
+}
+
+/// Drive the interleaved request stream until every class has closed
+/// `requests_per_class` samples, and leave the trace in the telemetry
+/// ring. Returns the per-class request counts.
 fn drive(cfg: &SortStudyConfig, sites: &SortSites) -> Vec<(u32, u64)> {
     let mut rng = Rng::new(cfg.seed ^ 0x50B7);
     let mut counts: Vec<(u32, u64)> = cfg.classes.iter().map(|&c| (c, 0)).collect();
-    for _round in 0..cfg.requests_per_class {
+    let mut open = vec![cfg.requests_per_class > 0; cfg.classes.len()];
+    while open.contains(&true) {
         for (slot, &class) in cfg.classes.iter().enumerate() {
+            if !open[slot] {
+                continue;
+            }
             // A size drawn uniformly from the class's range, so the site
             // tunes over the class, not one fixed length.
             let hi = 1usize << class;
@@ -136,6 +155,8 @@ fn drive(cfg: &SortStudyConfig, sites: &SortSites) -> Vec<(u32, u64)> {
             let (got, _ms) = smallsort::sort_request(sites, &mut data);
             debug_assert_eq!(got, class);
             counts[slot].1 += 1;
+            open[slot] =
+                closed_samples(sites, SortKey::new(class, PRESORT_RANDOM)) < cfg.requests_per_class;
         }
     }
     counts
@@ -326,8 +347,11 @@ mod tests {
         let study = run_study(&tiny());
         assert_eq!(study.tables.len(), 2);
         for t in &study.tables {
-            assert_eq!(t.requests, 60);
-            assert!(t.measured > 0, "class {} never measured", t.class);
+            assert_eq!(
+                t.measured, 60,
+                "class {}: one sample per budget unit",
+                t.class
+            );
             assert!(
                 t.measured <= t.requests,
                 "class {}: more measurements than requests",

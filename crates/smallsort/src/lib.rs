@@ -24,9 +24,10 @@
 //! ([`autotune::site`]), so the tuner learns a *per-size-class* winner
 //! instead of one global compromise.
 //!
-//! A single sort here is cheaper than a timer tick, which is why the
-//! tuning path measures through [`autotune::robust::batched_time_ms`]
-//! rather than a single-shot clock read — see [`tuned::sort_request`].
+//! A single sort here is cheaper than a timer tick, so a tuning sample is
+//! scored over `k` consecutive real calls, each timed once by the site
+//! guard, rather than by re-running one call — see
+//! [`tuned::sort_request`].
 
 #![warn(missing_docs)]
 

@@ -16,17 +16,16 @@
 //! demand and warm-started from the nearest already-learned key.
 //!
 //! Measurement is the second novelty: a single small-array sort is cheaper
-//! than a timer tick, so the tuning path times `k` back-to-back sorts of
-//! copies of the same unsorted input and divides
-//! ([`autotune::robust::batched_time_ms`]), while exploit-path production
-//! traffic pays exactly one sort and the site guard's ordinary single-shot
-//! clock — see [`sort_request`].
+//! than a timer tick, so one call cannot score a proposal. Every call —
+//! tuning or exploit — sorts its input exactly once under the site
+//! guard's single-shot clock, and the site scores a proposal over `k`
+//! consecutive real calls ([`autotune::site::SiteGuard::post`]) until
+//! their summed time spans enough timer ticks — see [`sort_request`].
 
 use crate::{heap, insertion, merge, pdq, radix};
 use autotune::context::{ContextKey, ContextSites};
 use autotune::param::{Parameter, Value};
 use autotune::rng::Rng;
-use autotune::robust::{batched_time_ms, MeasureOutcome};
 use autotune::site::{Site, SiteSpec};
 use autotune::space::{Configuration, Constraint, SearchSpace};
 use autotune::two_phase::{AlgorithmSpec, NominalKind};
@@ -332,37 +331,21 @@ impl SortSites {
 ///
 /// The key ([`SortKey::of`]: size class × presortedness) is computed
 /// from the data *before* sorting — one O(n) runs scan, the price of the
-/// context dispatch. The key's site picks the variant and configuration.
-/// A claim-winning call is a tuning iteration, and one small sort is
-/// cheaper than a timer tick — so it is timed by [`batched_time_ms`]:
-/// `k` back-to-back sorts of fresh copies of the *unsorted* input
-/// (re-sorting the already-sorted output would hand insertion sort its
-/// O(n) best case), divided by `k`. The per-batch memcpy restoring the
-/// input is inside the timed region; its cost is identical across
-/// variants, a constant per-key offset that cannot reorder them.
-/// Contended exploit-path calls pay exactly one sort and the guard's
-/// single-shot clock — those quantized samples feed telemetry, never the
-/// tuner.
+/// context dispatch. The key's site picks the variant and configuration,
+/// and every call sorts `data` once in place and posts the guard's
+/// single-shot time. One small sort is cheaper than a timer tick, so a
+/// claim-winning call does not close a tuning sample by itself: the
+/// site adds its time to the open proposal and closes the sample once
+/// `k` consecutive claim-winning calls span
+/// [`autotune::robust::BATCH_TARGET_QUANTA`] ticks
+/// ([`autotune::site::SiteGuard::post`]). The tuned call thus costs one
+/// sort, like an exploit-path call; the exploit path's time feeds
+/// telemetry, never the tuner.
 pub fn sort_request_keyed(sites: &SortSites, data: &mut [u64]) -> (SortKey, f64) {
     let key = SortKey::of(data);
     let guard = sites.table.dispatch(&key);
-    let algorithm = guard.algorithm();
-    if guard.is_tuning() {
-        let config = guard.config().clone();
-        let original = data.to_vec();
-        let mut scratch = original.clone();
-        let ms = batched_time_ms(|| {
-            scratch.copy_from_slice(&original);
-            sort_with(algorithm, &config, &mut scratch);
-        });
-        data.copy_from_slice(&scratch);
-        guard.post_outcome(MeasureOutcome::from_value(ms));
-        (key, ms)
-    } else {
-        sort_with(algorithm, guard.config(), data);
-        let ms = guard.post();
-        (key, ms)
-    }
+    sort_with(guard.algorithm(), guard.config(), data);
+    (key, guard.post())
 }
 
 /// [`sort_request_keyed`], reporting only the size class — the wire- and

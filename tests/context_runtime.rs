@@ -5,7 +5,10 @@
 //!    with identical deterministic call streams, must end with
 //!    *identical* per-key tuner state: eviction parks a tuner and
 //!    re-admission reinstates it verbatim, so LRU churn affects *where*
-//!    a key's tuner lives, never *what* it has learned.
+//!    a key's tuner lives, never *what* it has learned. One more input: a
+//!    key evicted while a sub-target call has left its proposal open is
+//!    parked with that proposal abandoned, reinstated bit-identically,
+//!    and its next claim asks the tuner again without panicking.
 //! 2. **Exact per-key call accounting under 8-thread churn stress** —
 //!    16 keys through 4 slots from 8 threads: every dispatch counted
 //!    exactly once against exactly its key, admission arithmetic
@@ -128,6 +131,25 @@ fn lru_eviction_and_readmission_round_trip_tuner_state_bit_identically() {
             roomy.key_stats(&key).unwrap().calls,
             tight.key_stats(&key).unwrap().calls
         );
+    }
+
+    // A call posting less than the sample target leaves its proposal
+    // open; three other keys through two slots then evict the key.
+    for k in 0..KEYS {
+        let key = Key(k);
+        tight.dispatch(&key).post();
+        let open = fingerprint(&tight, key);
+        for other in (0..KEYS).filter(|&o| o != k) {
+            call(&tight, Key(other));
+        }
+        let reinstated = tight.stats().reinstatements;
+        assert_eq!(
+            fingerprint(&tight, key),
+            open,
+            "{key:?}: parked with an open proposal, reinstated differently"
+        );
+        assert_eq!(tight.stats().reinstatements, reinstated + 1);
+        call(&tight, key);
     }
 }
 

@@ -12,13 +12,15 @@
 //! 2. **Multi-thread stress** — counters never lose updates, every
 //!    completed call is either a tuned iteration or an exploit call, and
 //!    the tuner's iteration count equals the tuned-iteration count exactly
-//!    (the claim discipline keeps the ask/tell protocol serialized).
+//!    (the claim discipline keeps the ask/tell protocol serialized; each
+//!    call spans the sample target, so each claim closes one sample).
 //! 3. **Seqlock validity under fire** — concurrent exploit readers only
 //!    ever observe configurations inside the search space while a writer
 //!    publishes continuously.
 
+use autotune::measure::duration_ms;
 use autotune::param::Parameter;
-use autotune::robust::MeasureOutcome;
+use autotune::robust::{timer_resolution_ms, MeasureOutcome, BATCH_TARGET_QUANTA};
 use autotune::site::{register, site, SiteSpec};
 use autotune::space::{Configuration, SearchSpace};
 use autotune::tuner::{OnlineTuner, Termination};
@@ -161,6 +163,7 @@ fn stress_no_lost_updates_across_eight_threads() {
         })
         .collect();
 
+    let target_ms = BATCH_TARGET_QUANTA * timer_resolution_ms();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let sites = &sites;
@@ -173,6 +176,12 @@ fn stress_no_lost_updates_across_eight_threads() {
                         sites[i].tuned(|alg, config| {
                             std::hint::black_box(cost(alg, config));
                             std::hint::black_box(round);
+                            // Span the sample target: one claim-winning
+                            // call closes one sample.
+                            let t0 = std::time::Instant::now();
+                            while duration_ms(t0.elapsed()) < target_ms {
+                                std::hint::spin_loop();
+                            }
                         });
                     }
                 }
