@@ -24,6 +24,7 @@ use autotune::space::{Configuration, Constraint, SearchSpace};
 use autotune::stats;
 use autotune::two_phase::{AlgorithmSpec, NominalKind, TwoPhaseTuner};
 use bench::harness::Criterion;
+use experiments::convergence::iterations_to_target;
 use raytrace::tunable;
 use std::hint::black_box;
 use std::time::Duration;
@@ -128,29 +129,6 @@ fn run_tuning(
     (series, tuner.failure_counts().iter().sum())
 }
 
-/// 1-based iteration at which the running best first reaches `target`
-/// (`iters + 1` when it never does — worse than any converged run).
-fn iterations_to_target(series: &[f64], target: f64) -> usize {
-    let mut running = f64::INFINITY;
-    for (i, &v) in series.iter().enumerate() {
-        if v.is_finite() && v < running {
-            running = v;
-        }
-        if running <= target {
-            return i + 1;
-        }
-    }
-    series.len() + 1
-}
-
-fn finite_min(series: &[f64]) -> f64 {
-    series
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Per-strategy convergence comparison on one workload.
 struct StrategyVerdict {
     label: String,
@@ -178,10 +156,13 @@ fn score_workload(workload: &Workload, reps: usize, iters: usize) -> Vec<Strateg
             reject_rejected += rj_rej;
             // Shared target: within 5% of the best value either mode found
             // with this seed. A self-referential per-mode target would let
-            // the reject run "converge" quickly onto a worse best.
-            let target = finite_min(&rp).min(finite_min(&rj)) * 1.05;
-            repair_iters.push(iterations_to_target(&rp, target) as f64);
-            reject_iters.push(iterations_to_target(&rj, target) as f64);
+            // the reject run "converge" quickly onto a worse best. A
+            // series that never reaches it scores `iters + 1`, worse than
+            // any converged run.
+            let target = rp.iter().chain(&rj).fold(f64::INFINITY, |b, &v| b.min(v)) * 1.05;
+            let to_target = |s: &[f64]| iterations_to_target(s, target).unwrap_or(iters + 1);
+            repair_iters.push(to_target(&rp) as f64);
+            reject_iters.push(to_target(&rj) as f64);
         }
         verdicts.push(StrategyVerdict {
             label: kind.label(),
@@ -212,7 +193,7 @@ fn bench_tuning_overhead(c: &mut Criterion, workload: &Workload, iters: usize) {
                     7,
                     iters,
                 );
-                black_box(finite_min(&series))
+                black_box(series)
             })
         });
     }

@@ -21,10 +21,9 @@ use autotune::param::Parameter;
 use autotune::robust::MeasureOutcome;
 use autotune::site::SiteSpec;
 use autotune::space::SearchSpace;
-use autotune::stats;
 use autotune::two_phase::{AlgorithmSpec, NominalKind};
 use bench::harness::Criterion;
-use experiments::sortstudy::{CONV_TOLERANCE, CONV_WINDOW};
+use experiments::convergence::settled_after;
 use std::time::Duration;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -77,20 +76,6 @@ fn call(table: &ContextSites<Key>, key: Key) -> f64 {
     v
 }
 
-/// Iterations until a rolling median first lands within
-/// [`CONV_TOLERANCE`] of the final regime — the study's criterion, on
-/// the synthetic cost stream.
-fn converged_after(costs: &[f64]) -> usize {
-    let tail_len = costs.len().min(CONV_WINDOW);
-    let final_median = stats::median(&costs[costs.len() - tail_len..]);
-    (CONV_WINDOW..=costs.len())
-        .find(|&i| {
-            let m = stats::median(&costs[i - CONV_WINDOW..i]);
-            (m - final_median).abs() <= final_median * CONV_TOLERANCE
-        })
-        .unwrap_or(costs.len())
-}
-
 fn main() {
     let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0");
     let train_iters = if quick { 120 } else { 400 };
@@ -110,7 +95,10 @@ fn main() {
     for &key in &probes {
         let warm_costs: Vec<f64> = (0..probe_iters).map(|_| call(&warm, key)).collect();
         let cold_costs: Vec<f64> = (0..probe_iters).map(|_| call(&cold, key)).collect();
-        let (w, c) = (converged_after(&warm_costs), converged_after(&cold_costs));
+        // The study's criterion on the synthetic cost stream; a probe
+        // that never settles counts its whole stream.
+        let conv = |costs: &[f64]| settled_after(costs).unwrap_or(costs.len());
+        let (w, c) = (conv(&warm_costs), conv(&cold_costs));
         println!("  key {:>2}: warm conv@{w:<4} cold conv@{c}", key.0);
         pairs.push((key.0, w, c));
     }

@@ -96,8 +96,8 @@ pub mod prelude {
     pub use crate::pool::Pool;
     pub use crate::rng::Rng;
     pub use crate::robust::{
-        batched_time_ms, robust_call, robust_time, timer_resolution_ms, FallibleMeasure, FaultKind,
-        FaultPlan, FaultyMeasure, MeasureOutcome, RobustMeasure, RobustOptions,
+        batched_time_ms, robust_call, timer_resolution_ms, FallibleMeasure, FaultKind, FaultPlan,
+        MeasureOutcome, RobustOptions,
     };
     pub use crate::search::{
         DifferentialEvolution, ExhaustiveSearch, GeneticAlgorithm, HillClimbing, NelderMead,

@@ -17,7 +17,7 @@
 //!   Returned values are clamped to the timer-resolution floor
 //!   [`RESOLUTION_FLOOR_MS`] so the `1/m` weight math of the phase-2
 //!   strategies stays finite.
-//! * [`batched_time_ms`] / [`robust_time`] — µs-scale timing. A call
+//! * [`batched_time_ms`] — µs-scale timing. A call
 //!   cheaper than one timer tick reads as `0.0` and the floor clamp then
 //!   flattens *every* such configuration to the same value, so the tuner
 //!   cannot rank them (a 1 µs and a 2 µs config look identical under a
@@ -26,11 +26,9 @@
 //!   [`BATCH_TARGET_QUANTA`] ticks of the *measured* resolution
 //!   ([`timer_resolution_ms`]) — and divide by `k`, bounding per-call
 //!   quantization error to ~1/[`BATCH_TARGET_QUANTA`].
-//! * [`RobustMeasure`] — the same machinery as a [`FallibleMeasure`]
-//!   adapter around any ordinary [`Measure`].
-//! * [`FaultyMeasure`] / [`FaultPlan`] — a deterministic fault-injection
-//!   decorator (NaN, zero, panic, latency spikes at a configured rate) used
-//!   by the `experiments faults` study and the regression suite.
+//! * [`FaultKind`] / [`FaultPlan`] — a deterministic fault schedule (NaN,
+//!   zero, panic, latency spikes at a configured rate); the `experiments
+//!   faults` study injects it under [`robust_call`].
 //!
 //! The **penalty policy** (Section III's "never exclude an algorithm",
 //! weakened just enough to survive production): a failed measurement is
@@ -39,8 +37,6 @@
 //! failing algorithm is strongly deprioritized but keeps a strictly
 //! positive selection probability and can recover.
 
-use crate::measure::Measure;
-use crate::rng::Rng;
 use crate::space::Configuration;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -126,12 +122,12 @@ pub fn timer_resolution_ms() -> f64 {
 }
 
 /// Core of [`batched_time_ms`], parameterized over the clock so a
-/// deliberately quantized clock can drive the regression tests: time `k`
+/// deliberately quantized clock can drive the unit tests: time `k`
 /// back-to-back calls of `f`, growing `k` geometrically from 1 until the
 /// batch spans [`BATCH_TARGET_QUANTA`] × `resolution_ms` (or `k` hits
 /// [`MAX_BATCH`]), and return `(per_call_ms, k)`. `clock_ms` must be
 /// monotonic; `resolution_ms` is its tick size.
-pub fn batched_time_ms_with(
+fn batched_time_ms_with(
     resolution_ms: f64,
     clock_ms: &mut impl FnMut() -> f64,
     f: &mut impl FnMut(),
@@ -169,15 +165,6 @@ pub fn batched_time_ms(mut f: impl FnMut()) -> f64 {
     let origin = Instant::now();
     let mut clock = || origin.elapsed().as_secs_f64() * 1e3;
     batched_time_ms_with(resolution, &mut clock, &mut f).0
-}
-
-/// [`robust_call`] over [`batched_time_ms`]: the full robust pipeline
-/// (panic guard, deadline, retries, median-of-k) where each "attempt" is
-/// one adaptively batched timing of `f` rather than one raw call. The
-/// natural entry point for workloads whose single invocation is cheaper
-/// than the timer tick.
-pub fn robust_time(opts: &RobustOptions, mut f: impl FnMut()) -> MeasureOutcome {
-    robust_call(opts, || batched_time_ms(&mut f))
 }
 
 /// The result of one measurement attempt.
@@ -227,7 +214,7 @@ impl MeasureOutcome {
 }
 
 /// A measurement function that can fail. The fallible analogue of
-/// [`Measure`]; implemented by [`RobustMeasure`] and by closures returning
+/// [`crate::measure::Measure`]; implemented by closures returning
 /// [`MeasureOutcome`].
 pub trait FallibleMeasure {
     /// Measure `config` once, classifying any failure.
@@ -345,8 +332,7 @@ fn attempt_with_retries(opts: &RobustOptions, f: &mut impl FnMut() -> f64) -> Me
 
 /// Run a measurement closure through the full robust pipeline: panic guard,
 /// deadline, retry/backoff, median-of-k repetitions, resolution-floor
-/// clamping. This is the closure-level primitive; [`RobustMeasure`] adapts
-/// it to the [`Measure`]/[`FallibleMeasure`] traits and
+/// clamping. This is the closure-level primitive;
 /// [`crate::two_phase::TwoPhaseTuner::step_fallible`] is the natural
 /// consumer.
 pub fn robust_call(opts: &RobustOptions, mut f: impl FnMut() -> f64) -> MeasureOutcome {
@@ -365,38 +351,6 @@ pub fn robust_call(opts: &RobustOptions, mut f: impl FnMut() -> f64) -> MeasureO
         last_failure.expect("no successes implies a recorded failure")
     } else {
         MeasureOutcome::Ok(crate::stats::median(&values))
-    }
-}
-
-/// [`FallibleMeasure`] adapter: any plain [`Measure`] (including ones that
-/// panic or return garbage) becomes a total function into
-/// [`MeasureOutcome`].
-pub struct RobustMeasure<M> {
-    inner: M,
-    opts: RobustOptions,
-}
-
-impl<M: Measure> RobustMeasure<M> {
-    /// Wrap `inner` with the given pipeline options.
-    pub fn new(inner: M, opts: RobustOptions) -> Self {
-        RobustMeasure { inner, opts }
-    }
-
-    /// The pipeline options in effect.
-    pub fn options(&self) -> &RobustOptions {
-        &self.opts
-    }
-
-    /// Unwrap, returning the inner measure.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-}
-
-impl<M: Measure> FallibleMeasure for RobustMeasure<M> {
-    fn measure(&mut self, config: &Configuration) -> MeasureOutcome {
-        let inner = &mut self.inner;
-        robust_call(&self.opts, || inner.measure(config))
     }
 }
 
@@ -486,90 +440,9 @@ impl FaultPlan {
     }
 }
 
-/// Tally of injected faults, for reporting recovery rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// NaN measurements injected.
-    pub nan: usize,
-    /// Zero measurements injected.
-    pub zero: usize,
-    /// Panics injected.
-    pub panic: usize,
-    /// Latency spikes injected.
-    pub spike: usize,
-}
-
-impl FaultCounts {
-    /// Total injected faults of all kinds.
-    pub fn total(&self) -> usize {
-        self.nan + self.zero + self.panic + self.spike
-    }
-}
-
-/// Fault-injecting [`Measure`] decorator. Sits *under* [`RobustMeasure`]
-/// (or [`robust_call`]) in tests and the `experiments faults` study: the
-/// decorated measure misbehaves exactly like a production one would, and
-/// the robust layer above must contain it.
-pub struct FaultyMeasure<M> {
-    inner: M,
-    plan: FaultPlan,
-    rng: Rng,
-    counts: FaultCounts,
-}
-
-impl<M: Measure> FaultyMeasure<M> {
-    /// Wrap `inner` so it misbehaves per `plan`, deterministically from
-    /// `seed`.
-    pub fn new(inner: M, plan: FaultPlan, seed: u64) -> Self {
-        FaultyMeasure {
-            inner,
-            plan,
-            rng: Rng::new(seed),
-            counts: FaultCounts::default(),
-        }
-    }
-
-    /// How many faults of each kind have been injected so far.
-    pub fn counts(&self) -> FaultCounts {
-        self.counts
-    }
-
-    /// Decide the fault (if any) for the next measurement and tally it.
-    fn next_fault(&mut self) -> Option<FaultKind> {
-        if !self.rng.next_bool(self.plan.rate) {
-            return None;
-        }
-        let kind = self.plan.kinds[self.rng.pick_index(self.plan.kinds.len())];
-        match kind {
-            FaultKind::Nan => self.counts.nan += 1,
-            FaultKind::Zero => self.counts.zero += 1,
-            FaultKind::Panic => self.counts.panic += 1,
-            FaultKind::Spike => self.counts.spike += 1,
-        }
-        Some(kind)
-    }
-}
-
-impl<M: Measure> Measure for FaultyMeasure<M> {
-    fn measure(&mut self, config: &Configuration) -> f64 {
-        match self.next_fault() {
-            None => self.inner.measure(config),
-            Some(FaultKind::Nan) => f64::NAN,
-            Some(FaultKind::Zero) => 0.0,
-            Some(FaultKind::Panic) => panic!("injected measurement fault"),
-            Some(FaultKind::Spike) => self.inner.measure(config) * self.plan.spike_factor,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Configuration;
-
-    fn cfg() -> Configuration {
-        Configuration::empty()
-    }
 
     #[test]
     fn from_value_classifies() {
@@ -666,19 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn robust_time_times_real_work() {
-        let mut acc = 0u64;
-        let out = robust_time(&RobustOptions::default(), || {
-            for i in 0..64u64 {
-                acc = acc.wrapping_add(std::hint::black_box(i * i));
-            }
-        });
-        let v = out.ok().expect("timing real work succeeds");
-        assert!((RESOLUTION_FLOOR_MS..1.0).contains(&v), "per-call ms: {v}");
-        std::hint::black_box(acc);
-    }
-
-    #[test]
     fn robust_call_passes_clean_values() {
         let out = robust_call(&RobustOptions::default(), || 7.25);
         assert_eq!(out, MeasureOutcome::Ok(7.25));
@@ -770,12 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn robust_measure_adapts_plain_measures() {
-        let mut m = RobustMeasure::new(|_: &Configuration| 3.0, RobustOptions::default());
-        assert_eq!(m.measure(&cfg()), MeasureOutcome::Ok(3.0));
-    }
-
-    #[test]
     fn failure_penalty_scales_worst_observed() {
         let mut h = crate::history::AlgorithmHistory::new();
         h.record(10.0);
@@ -788,40 +642,5 @@ mod tests {
     fn failure_penalty_default_without_samples() {
         let hs = [crate::history::AlgorithmHistory::new()];
         assert_eq!(failure_penalty(&hs), DEFAULT_FAILURE_PENALTY_MS);
-    }
-
-    #[test]
-    fn faulty_measure_injects_at_the_configured_rate() {
-        let mut m = FaultyMeasure::new(
-            |_: &Configuration| 5.0,
-            FaultPlan::all(0.25).with_kinds(vec![FaultKind::Zero, FaultKind::Nan]),
-            11,
-        );
-        let n = 4000;
-        for _ in 0..n {
-            let _ = m.measure(&cfg());
-        }
-        let rate = m.counts().total() as f64 / n as f64;
-        assert!((rate - 0.25).abs() < 0.03, "observed fault rate {rate}");
-        assert_eq!(m.counts().panic, 0);
-        assert_eq!(m.counts().spike, 0);
-    }
-
-    #[test]
-    fn faulty_under_robust_never_escapes() {
-        let faulty = FaultyMeasure::new(|_: &Configuration| 5.0, FaultPlan::all(0.5), 13);
-        let mut robust = RobustMeasure::new(faulty, RobustOptions::default());
-        let mut oks = 0;
-        let mut fails = 0;
-        for _ in 0..500 {
-            match robust.measure(&cfg()) {
-                MeasureOutcome::Ok(v) => {
-                    assert!(v.is_finite() && v >= RESOLUTION_FLOOR_MS);
-                    oks += 1;
-                }
-                _ => fails += 1,
-            }
-        }
-        assert!(oks > 0 && fails > 0, "both paths must be exercised");
     }
 }

@@ -159,7 +159,7 @@ enum SpecKind {
     Algorithms(Vec<AlgorithmSpec>, NominalKind),
     /// A single parameter space with no algorithmic choice, plus an
     /// optional starting configuration (set by warm-starting).
-    Space(SearchSpace, Termination, Option<Configuration>),
+    Space(SearchSpace, Option<Configuration>),
 }
 
 /// Blueprint of a tuning site: what it tunes and with which strategies and
@@ -193,12 +193,11 @@ impl SiteSpec {
     }
 
     /// A site tuning a single parameter space with no algorithmic choice.
-    /// Equivalent to a dedicated [`OnlineTuner`] with [`Termination::Never`]
-    /// (override via [`SiteSpec::with_termination`]).
+    /// Equivalent to a dedicated [`OnlineTuner`] with [`Termination::Never`].
     pub fn space(name: impl Into<String>, space: SearchSpace, seed: u64) -> Self {
         SiteSpec {
             name: name.into(),
-            kind: SpecKind::Space(space, Termination::Never, None),
+            kind: SpecKind::Space(space, None),
             phase1: Phase1Kind::NelderMead,
             seed,
         }
@@ -242,7 +241,7 @@ impl SiteSpec {
                     }
                 }
             }
-            SpecKind::Space(space, _, start) => {
+            SpecKind::Space(space, start) => {
                 if let Some(Some((c, _))) = incumbents.first() {
                     if space.contains(c) && space.is_feasible(c) {
                         *start = Some(c.clone());
@@ -272,18 +271,9 @@ impl SiteSpec {
                     s.space = s.space.clone().with_constraint(constraint.clone());
                 }
             }
-            SpecKind::Space(space, _, _) => {
+            SpecKind::Space(space, _) => {
                 *space = space.clone().with_constraint(constraint.clone());
             }
-        }
-        self
-    }
-
-    /// Override the termination criterion (single-space sites only; a
-    /// terminated site keeps exploiting its best-known configuration).
-    pub fn with_termination(mut self, termination: Termination) -> Self {
-        if let SpecKind::Space(_, t, _) = &mut self.kind {
-            *t = termination;
         }
         self
     }
@@ -319,7 +309,7 @@ impl SiteTuner {
                 }
                 SiteTuner::TwoPhase(TwoPhaseTuner::with_phase1(specs, nominal, phase1, seed))
             }
-            SpecKind::Space(space, termination, start) => {
+            SpecKind::Space(space, start) => {
                 assert!(
                     space.dims() <= MAX_PUBLISHED_PARAMS,
                     "space has {} parameters; sites publish at most {}",
@@ -329,7 +319,7 @@ impl SiteTuner {
                 let mut aspec = AlgorithmSpec::new(name.clone(), space);
                 aspec.start = start;
                 let searcher = phase1.build(&aspec, seed);
-                SiteTuner::Single(OnlineTuner::new(searcher, termination))
+                SiteTuner::Single(OnlineTuner::new(searcher, Termination::Never))
             }
         };
         (tuner, name)

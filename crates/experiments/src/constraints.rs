@@ -27,6 +27,7 @@
 //! *infeasible*, not silently aliased to scalar code. CI asserts exactly
 //! that from `constraints.json`.
 
+use crate::convergence::{iterations_to_target, tail_median};
 use crate::cs1::{self, Cs1Config};
 use crate::cs2::Cs2Config;
 use crate::report::SeriesFigure;
@@ -151,39 +152,6 @@ fn feasibility_of(specs: &[AlgorithmSpec]) -> Vec<AlgorithmFeasibility> {
         .collect()
 }
 
-/// 1-based iteration at which the running best first comes within `frac`
-/// of the series' final best. Rejected iterations are NaN and only advance
-/// the clock. A series with no successful measurement "converges" at its
-/// full length.
-fn iterations_to_within(series: &[f64], frac: f64) -> usize {
-    let best = series
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .fold(f64::INFINITY, f64::min);
-    if !best.is_finite() {
-        return series.len();
-    }
-    let target = best * (1.0 + frac);
-    let mut running = f64::INFINITY;
-    for (i, &v) in series.iter().enumerate() {
-        if v.is_finite() && v < running {
-            running = v;
-        }
-        if running <= target {
-            return i + 1;
-        }
-    }
-    series.len()
-}
-
-/// Median of the last quarter of a curve (NaN-filtered by the quantile
-/// policy).
-fn tail_median(curve: &[f64]) -> f64 {
-    let start = curve.len() - curve.len() / 4;
-    stats::median(&curve[start.min(curve.len().saturating_sub(1))..])
-}
-
 /// Identity and budget parameters shared by one repair-vs-reject study.
 struct StudyParams<'a> {
     case_study: &'a str,
@@ -236,7 +204,12 @@ fn run_study(
                 }
                 measured += series.iter().filter(|v| v.is_finite()).count();
                 rejected += tuner.failure_counts().iter().sum::<usize>();
-                convergence.push(iterations_to_within(&series, CONVERGENCE_FRACTION) as f64);
+                // Within 5% of this rep's own best; a rep with no
+                // successful measurement never converges (`len + 1`).
+                let best = series.iter().fold(f64::INFINITY, |b, &v| b.min(v));
+                let target = best * (1.0 + CONVERGENCE_FRACTION);
+                let iters = iterations_to_target(&series, target).unwrap_or(series.len() + 1);
+                convergence.push(iters as f64);
                 series_per_rep.push(series);
             }
             let curve = stats::per_iteration_reduce(&series_per_rep, stats::median);
@@ -244,7 +217,7 @@ fn run_study(
                 convergence_iters: stats::median(&convergence),
                 measured,
                 rejected,
-                tail: tail_median(&curve),
+                tail: tail_median(&curve, curve.len() / 4),
                 curve,
             });
         }
@@ -552,17 +525,6 @@ mod tests {
             assert_eq!(r.repair.rejected, 0, "{}", r.label);
             assert_eq!(r.repair.measured, 16, "{}", r.label);
         }
-    }
-
-    #[test]
-    fn convergence_metric_handles_rejections_and_noise() {
-        assert_eq!(iterations_to_within(&[10.0, 8.0, 5.0, 5.1], 0.05), 3);
-        assert_eq!(
-            iterations_to_within(&[f64::NAN, 10.0, f64::NAN, 5.0], 0.05),
-            4
-        );
-        assert_eq!(iterations_to_within(&[7.0], 0.05), 1);
-        assert_eq!(iterations_to_within(&[f64::NAN, f64::NAN], 0.05), 2);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!    key's posterior. After pre-training the tables on a set of seed
 //!    classes, probe classes *between* them are driven through a
 //!    warm-starting table and a cold one on identical input streams:
-//!    the study reports measured iterations until a rolling median
-//!    first lands within [`CONV_TOLERANCE`] of the converged regime
-//!    ([`CONV_WINDOW`]-wide, same criterion as the `smallsort` study).
+//!    the study reports measured iterations until the runtime series
+//!    settles ([`convergence::settled_after`], the same criterion as the
+//!    `smallsort` study).
 //! 3. **LRU churn** — a table whose capacity is below its live key count
 //!    parks and reinstates tuner state on every round-robin pass. The
 //!    study counts admissions / evictions / reinstatements and times the
@@ -29,7 +29,8 @@
 //! the logical key forever. Artifacts: `results/contexts.json` plus the
 //! raw trace in `results/contexts_trace.jsonl`.
 
-use crate::sortstudy::{closed_samples, CONV_TOLERANCE, CONV_WINDOW};
+use crate::convergence::{self, WINDOW};
+use crate::sortstudy::closed_samples;
 use autotune::json::Json;
 use autotune::rng::Rng;
 use autotune::robust::MeasureOutcome;
@@ -92,7 +93,8 @@ impl ContextsConfig {
 }
 
 /// One context key's convergence table, rebuilt from the JSONL trace by
-/// filtering on the event `context` field.
+/// filtering on the event `context` field. The `smallsort` study builds
+/// its per-class tables with the same reducer.
 #[derive(Debug, Clone)]
 pub struct KeyTable {
     /// The key's size class (log2 of its size cap).
@@ -108,16 +110,18 @@ pub struct KeyTable {
     pub measured: u64,
     /// Per-algorithm measurement counts, indexed like [`ALGORITHM_NAMES`].
     pub selections: Vec<u64>,
-    /// The converged winner: the algorithm the trace's last
-    /// [`CONV_WINDOW`] measurements select most often.
+    /// The converged winner: the algorithm the trace's last 15
+    /// measurements select most often.
     pub winner: usize,
-    /// Median measured runtime of the converged tail, in milliseconds.
+    /// Median measured runtime of the last 15 measurements, in
+    /// milliseconds.
     pub final_median_ms: f64,
-    /// Median of the *first* [`CONV_WINDOW`] measurements — the price of
-    /// the start regime (cold starts explore; warm starts exploit).
+    /// Median of the *first* 15 measurements — the price of the start
+    /// regime (cold starts explore; warm starts exploit).
     pub early_median_ms: f64,
-    /// Measured iterations until a rolling median first lands within
-    /// [`CONV_TOLERANCE`] of `final_median_ms` (`None`: never settled).
+    /// Measured iterations until the runtimes settle onto
+    /// `final_median_ms` ([`convergence::settled_after`]; `None`: never
+    /// settled).
     pub converged_after: Option<usize>,
 }
 
@@ -256,37 +260,21 @@ fn context_measurements(events: &[Event], context: u32) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// Build one key's table from its context-filtered trace measurements.
-fn table_for(key: SortKey, context: u32, requests: u64, events: &[Event]) -> KeyTable {
+/// Build one key's table from its context-filtered trace measurements;
+/// `requests` is the caller's count of inputs sent to the key.
+pub(crate) fn table_for(key: SortKey, context: u32, requests: u64, events: &[Event]) -> KeyTable {
     let measurements = context_measurements(events, context);
     let mut selections = vec![0u64; ALGORITHM_NAMES.len()];
     for &(a, _) in &measurements {
         selections[a] += 1;
     }
-    let tail_len = measurements.len().min(CONV_WINDOW);
-    let tail = &measurements[measurements.len() - tail_len..];
+    // The winner is what the converged tail actually runs, not the raw
+    // majority (early exploration measures every algorithm).
+    let tail = &measurements[measurements.len().saturating_sub(WINDOW)..];
     let winner = (0..ALGORITHM_NAMES.len())
         .max_by_key(|&a| tail.iter().filter(|&&(sel, _)| sel == a).count())
         .unwrap_or(0);
     let runtimes: Vec<f64> = measurements.iter().map(|&(_, ms)| ms).collect();
-    let final_median_ms = if tail.is_empty() {
-        f64::NAN
-    } else {
-        stats::median(&runtimes[runtimes.len() - tail_len..])
-    };
-    let early_median_ms = if runtimes.is_empty() {
-        f64::NAN
-    } else {
-        stats::median(&runtimes[..runtimes.len().min(CONV_WINDOW)])
-    };
-    let converged_after = (runtimes.len() >= 2 * CONV_WINDOW)
-        .then(|| {
-            (CONV_WINDOW..=runtimes.len()).find(|&i| {
-                let m = stats::median(&runtimes[i - CONV_WINDOW..i]);
-                (m - final_median_ms).abs() <= final_median_ms * CONV_TOLERANCE
-            })
-        })
-        .flatten();
     KeyTable {
         class: key.class,
         presort: key.presort,
@@ -295,9 +283,9 @@ fn table_for(key: SortKey, context: u32, requests: u64, events: &[Event]) -> Key
         measured: measurements.len() as u64,
         selections,
         winner,
-        final_median_ms,
-        early_median_ms,
-        converged_after,
+        final_median_ms: convergence::tail_median(&runtimes, WINDOW),
+        early_median_ms: stats::median(&runtimes[..runtimes.len().min(WINDOW)]),
+        converged_after: convergence::settled_after(&runtimes),
     }
 }
 
@@ -486,8 +474,7 @@ pub fn summary(study: &ContextsStudy) -> String {
         }
     }
     out.push_str(&format!(
-        "iterations to within {:.0}%: warm {} vs cold {} ({})\n\n",
-        CONV_TOLERANCE * 100.0,
+        "iterations to within 5%: warm {} vs cold {} ({})\n\n",
         study.warm_iterations(),
         study.cold_iterations(),
         if study.warm_not_worse() {

@@ -17,6 +17,7 @@
 //! reducer filters NaN by policy, so the plotted curves show the runtime
 //! the application actually observed on successful iterations.
 
+use crate::convergence::tail_median;
 use crate::cs1::{self, Cs1Config};
 use crate::cs2::Cs2Config;
 use crate::report::SeriesFigure;
@@ -90,13 +91,6 @@ fn faulty_call(
     })
 }
 
-/// Median of the last quarter of a curve (NaN-filtered by the quantile
-/// policy).
-fn tail_median(curve: &[f64]) -> f64 {
-    let start = curve.len() - curve.len() / 4;
-    stats::median(&curve[start.min(curve.len().saturating_sub(1))..])
-}
-
 /// Run the clean-vs-faulty comparison for every paper strategy over an
 /// arbitrary algorithm set and measurement function.
 fn run_study(
@@ -148,8 +142,8 @@ fn run_study(
         let faulty_curve = stats::per_iteration_reduce(&curves[1], stats::median);
         runs.push(StrategyFaultRun {
             label,
-            clean_tail: tail_median(&clean_curve),
-            faulty_tail: tail_median(&faulty_curve),
+            clean_tail: tail_median(&clean_curve, clean_curve.len() / 4),
+            faulty_tail: tail_median(&faulty_curve, faulty_curve.len() / 4),
             clean_curve,
             faulty_curve,
             injected,

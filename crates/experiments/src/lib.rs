@@ -40,7 +40,8 @@
 //! studies up as an always-on TCP tuning service ([`autotune::serve`])
 //! with per-site drift detection, and the `load` target ([`load`]) is its
 //! pipelined loopback load generator with morph schedules and live
-//! telemetry-stream validation.
+//! telemetry-stream validation. Every "iterations to converge" these
+//! studies and the benches publish comes from [`convergence`].
 //!
 //! The `experiments` binary drives these and writes CSV/JSON into
 //! `results/` plus ASCII plots to stdout. Scale knobs default to a *quick*
@@ -49,6 +50,7 @@
 pub mod ablations;
 pub mod constraints;
 pub mod contexts;
+pub mod convergence;
 pub mod cs1;
 pub mod cs2;
 pub mod faults;

@@ -15,6 +15,7 @@
 //! trace is the interface; anything the report needs that the trace
 //! can't answer is a telemetry gap to fix, not a reason to re-measure.
 
+use crate::convergence::iterations_to_target;
 use crate::{cs1, cs2};
 use autotune::robust::RobustOptions;
 use autotune::stats;
@@ -167,8 +168,9 @@ pub struct RunSummary {
     pub failures: u64,
     /// Best successful runtime in the run, in milliseconds.
     pub best_ms: f64,
-    /// First iteration whose runtime came within 5% of [`best_ms`]
-    /// (`None` if the run had no successful measurement).
+    /// 1-based iteration whose runtime first came within 5% of
+    /// [`best_ms`] ([`iterations_to_target`]; `None` if the run had no
+    /// successful measurement).
     ///
     /// [`best_ms`]: RunSummary::best_ms
     pub within_5pct_at: Option<u64>,
@@ -201,17 +203,18 @@ pub fn entropy_bits(counts: &[u64]) -> f64 {
 pub fn summarize(meta: &RunMeta, events: &[Event]) -> RunSummary {
     let num_algorithms = meta.algorithms.len().max(1);
     let mut iterations = 0u64;
-    let mut current_iteration = 0u64;
     let mut ok = 0u64;
     let mut failures = 0u64;
-    let mut runtimes: Vec<(u64, f64)> = Vec::new();
+    // Best successful runtime per iteration (NaN: none), and overall.
+    let mut series: Vec<f64> = Vec::new();
+    let mut best_ms = f64::INFINITY;
     let mut picks: Vec<usize> = Vec::new();
     let mut final_weights = Vec::new();
     for e in events {
         match &e.kind {
-            EventKind::IterationStart { iteration } => {
+            EventKind::IterationStart { .. } => {
                 iterations += 1;
-                current_iteration = *iteration;
+                series.push(f64::NAN);
             }
             EventKind::AlgorithmSelected { algorithm, weights } => {
                 picks.push(*algorithm as usize);
@@ -222,26 +225,16 @@ pub fn summarize(meta: &RunMeta, events: &[Event]) -> RunSummary {
             } => match status {
                 MeasureStatus::Ok => {
                     ok += 1;
-                    runtimes.push((current_iteration, *runtime_ms));
+                    best_ms = best_ms.min(*runtime_ms);
+                    if let Some(slot) = series.last_mut() {
+                        *slot = slot.min(*runtime_ms);
+                    }
                 }
                 MeasureStatus::Failed | MeasureStatus::TimedOut => failures += 1,
             },
             _ => {}
         }
     }
-
-    let best_ms = runtimes
-        .iter()
-        .map(|&(_, r)| r)
-        .fold(f64::INFINITY, f64::min);
-    let within_5pct_at = if runtimes.is_empty() {
-        None
-    } else {
-        runtimes
-            .iter()
-            .find(|&&(_, r)| r <= best_ms * 1.05)
-            .map(|&(i, _)| i)
-    };
 
     let mut selections = vec![0u64; num_algorithms];
     for &p in &picks {
@@ -274,7 +267,7 @@ pub fn summarize(meta: &RunMeta, events: &[Event]) -> RunSummary {
         } else {
             f64::NAN
         },
-        within_5pct_at,
+        within_5pct_at: iterations_to_target(&series, best_ms * 1.05).map(|i| i as u64),
         selections,
         entropy_per_quarter,
         final_weights,
@@ -528,7 +521,7 @@ mod tests {
         assert_eq!(s.ok, 2);
         assert_eq!(s.failures, 1);
         assert_eq!(s.best_ms, 5.0);
-        assert_eq!(s.within_5pct_at, Some(2), "10ms is not within 5% of 5ms");
+        assert_eq!(s.within_5pct_at, Some(3), "10ms is not within 5% of 5ms");
         assert_eq!(s.selections, vec![1, 2]);
         assert_eq!(s.final_weights.len(), 2);
         assert!((s.final_weights[1] - 0.75).abs() < 1e-9);

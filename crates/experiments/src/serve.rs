@@ -49,6 +49,7 @@
 //! verify independently. `ok` is the server's own sortedness +
 //! key-conservation check.
 
+use crate::convergence;
 use autotune::context::ContextKey;
 use autotune::drift::{observe_and_restart, DriftConfig, DriftMonitor};
 use autotune::json::Json;
@@ -381,34 +382,11 @@ impl RequestHandler for AppHandler {
     }
 }
 
-/// Rolling-median window for the reconvergence scan.
-const RECONV_WINDOW: usize = 15;
-/// "Within 5% of the new optimum" — the acceptance criterion's bound.
-const RECONV_TOLERANCE: f64 = 0.05;
-
-/// Iterations from `start` until the rolling median of `runtimes[start..]`
-/// first lands within [`RECONV_TOLERANCE`] of the converged (final)
-/// median, or `None` if it never does.
-fn reconvergence_iterations(runtimes: &[f64], start: usize) -> Option<(usize, f64)> {
-    let tail = &runtimes[start..];
-    if tail.len() < 2 * RECONV_WINDOW {
-        return None;
-    }
-    // The "new optimum": the converged end of the post-restart regime.
-    let settled = stats::median(&tail[tail.len() - tail.len().min(4 * RECONV_WINDOW)..]);
-    for i in RECONV_WINDOW..=tail.len() {
-        let m = stats::median(&tail[i - RECONV_WINDOW..i]);
-        if (m - settled).abs() <= settled * RECONV_TOLERANCE {
-            return Some((i, settled));
-        }
-    }
-    None
-}
-
 /// The drift episode of one site as JSON: per restart, where the morph
 /// and the restart happened, the runtime regime before and after, and the
-/// time-to-reconvergence (iterations until a [`RECONV_WINDOW`]-wide
-/// rolling median is within 5% of the new optimum).
+/// time-to-reconvergence: iterations until the post-restart runtimes
+/// settle ([`convergence::settled_after`]) onto the new optimum, the
+/// median of their last 15 samples.
 fn drift_json(log: &SiteLog) -> Json {
     let episodes = log
         .restarts
@@ -429,8 +407,12 @@ fn drift_json(log: &SiteLog) -> Json {
                 let lo = m.saturating_sub(64);
                 stats::median(&log.runtimes[lo..m])
             });
-            let (reconv, settled) = match reconvergence_iterations(&log.runtimes, r + 1) {
-                Some((i, s)) => (Json::Num(i as f64), Json::Num(s)),
+            let after = &log.runtimes[r + 1..];
+            let (reconv, settled) = match convergence::settled_after(after) {
+                Some(i) => (
+                    Json::Num(i as f64),
+                    Json::Num(convergence::tail_median(after, convergence::WINDOW)),
+                ),
                 None => (Json::Null, Json::Null),
             };
             Json::obj(vec![
@@ -757,17 +739,6 @@ mod tests {
         let report = h.drift_report().expect("morphed run has a drift report");
         let m = report.get("match").unwrap();
         assert_eq!(m.get("restarts").and_then(Json::as_f64), Some(1.0));
-    }
-
-    #[test]
-    fn reconvergence_scan_finds_the_settled_regime() {
-        // 30 slow samples, then 100 settled fast ones.
-        let mut runtimes = vec![9.0; 30];
-        runtimes.extend(vec![1.0; 100]);
-        let (iters, settled) = reconvergence_iterations(&runtimes, 0).expect("reconverges");
-        assert_eq!(settled, 1.0);
-        // The rolling median crosses once the window is majority-fast.
-        assert!((30..60).contains(&iters), "{iters}");
     }
 
     #[test]

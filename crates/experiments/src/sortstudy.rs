@@ -14,9 +14,11 @@
 //! the numbers exercise the wire schema, not private state): one
 //! convergence table per class — measured tuning iterations, per-
 //! algorithm selection counts, the converged winner, the final runtime
-//! regime, and the iterations until a rolling median first lands within
-//! 5% of it. Artifacts: `results/smallsort.json` plus the raw trace in
-//! `results/smallsort_trace.jsonl`.
+//! regime, and the iterations until the runtimes settle onto it
+//! ([`crate::convergence::settled_after`]). The tables come from the
+//! `contexts` study's reducer ([`KeyTable`]), read for each class's
+//! random-presort key. Artifacts: `results/smallsort.json` plus the raw
+//! trace in `results/smallsort_trace.jsonl`.
 //!
 //! Because every request in the lower classes finishes far under the
 //! timer tick, a class site scores each proposal over several
@@ -27,10 +29,10 @@
 //! field records the host's measured tick so consumers can judge how
 //! many quanta the reported medians actually span.
 
+use crate::contexts::{table_for, KeyTable};
 use autotune::json::Json;
 use autotune::rng::Rng;
-use autotune::stats;
-use autotune::telemetry::{self, export, Event, EventKind, MeasureStatus};
+use autotune::telemetry::{self, export};
 use autotune::two_phase::NominalKind;
 use smallsort::{SortKey, SortSites, ALGORITHM_NAMES, PRESORT_RANDOM};
 
@@ -68,44 +70,17 @@ impl SortStudyConfig {
     }
 }
 
-/// Rolling-median window for the convergence scan.
-pub const CONV_WINDOW: usize = 15;
-/// "Within 5% of the converged regime" — the convergence criterion.
-pub const CONV_TOLERANCE: f64 = 0.05;
-
-/// One size class's convergence table, rebuilt from the JSONL trace.
-#[derive(Debug, Clone)]
-pub struct ClassTable {
-    /// The class (log2 of its size cap): requests of `2^(class-1)+1 ..=
-    /// 2^class` elements land here.
-    pub class: u32,
-    /// The class site's telemetry tag — the `site` field its trace lines
-    /// carry in `smallsort_trace.jsonl`.
-    pub tag: u16,
-    /// Sort requests dispatched to this class: as many as it took to
-    /// close the budgeted samples.
-    pub requests: u64,
-    /// Measured tuning iterations (successful `MeasureOutcome` events).
-    pub measured: u64,
-    /// Per-algorithm measurement counts, indexed like
-    /// [`smallsort::ALGORITHM_NAMES`].
-    pub selections: Vec<u64>,
-    /// The converged winner: the algorithm the trace's last
-    /// [`CONV_WINDOW`] measurements select most often.
-    pub winner: usize,
-    /// Median measured runtime of the converged tail, in milliseconds.
-    pub final_median_ms: f64,
-    /// Measured iterations until a rolling median first lands within
-    /// [`CONV_TOLERANCE`] of `final_median_ms` (`None`: never settled).
-    pub converged_after: Option<usize>,
-}
-
 /// Results of the full study.
 #[derive(Debug, Clone)]
 pub struct SortStudy {
     pub config: SortStudyConfig,
-    /// One table per driven class, in class order.
-    pub tables: Vec<ClassTable>,
+    /// One table per driven class, in class order: the class's
+    /// random-presort key, whose `requests` counts every input generated
+    /// for the class (a random input can land on another presort key).
+    pub tables: Vec<KeyTable>,
+    /// Each table's class-site telemetry tag — the `site` field its trace
+    /// lines carry in `smallsort_trace.jsonl`.
+    pub(crate) tags: Vec<u16>,
     /// The host's measured timer tick ([`autotune::robust::timer_resolution_ms`]).
     pub measured_floor_ms: f64,
     /// The full telemetry trace, already serialized to JSONL.
@@ -162,59 +137,6 @@ fn drive(cfg: &SortStudyConfig, sites: &SortSites) -> Vec<(u32, u64)> {
     counts
 }
 
-/// Measured runtimes and algorithm picks of one class, in trace order.
-fn class_measurements(events: &[Event], tag: u16) -> Vec<(usize, f64)> {
-    events
-        .iter()
-        .filter(|e| e.site == tag)
-        .filter_map(|e| match e.kind {
-            EventKind::MeasureOutcome {
-                algorithm,
-                status: MeasureStatus::Ok,
-                runtime_ms,
-            } => Some((algorithm as usize, runtime_ms)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Build one class's table from its trace measurements.
-fn table_for(class: u32, tag: u16, requests: u64, measurements: &[(usize, f64)]) -> ClassTable {
-    let mut selections = vec![0u64; ALGORITHM_NAMES.len()];
-    for &(a, _) in measurements {
-        selections[a] += 1;
-    }
-    let tail_len = measurements.len().min(CONV_WINDOW);
-    let tail = &measurements[measurements.len() - tail_len..];
-    // The winner is what the converged tail actually runs, not the raw
-    // majority (early exploration measures every algorithm).
-    let winner = (0..ALGORITHM_NAMES.len())
-        .max_by_key(|&a| tail.iter().filter(|&&(sel, _)| sel == a).count())
-        .unwrap_or(0);
-    let runtimes: Vec<f64> = measurements.iter().map(|&(_, ms)| ms).collect();
-    let final_median_ms = if tail.is_empty() {
-        f64::NAN
-    } else {
-        stats::median(&runtimes[runtimes.len() - tail_len..])
-    };
-    let converged_after = (runtimes.len() >= 2 * CONV_WINDOW).then(|| {
-        (CONV_WINDOW..=runtimes.len()).find(|&i| {
-            let m = stats::median(&runtimes[i - CONV_WINDOW..i]);
-            (m - final_median_ms).abs() <= final_median_ms * CONV_TOLERANCE
-        })
-    });
-    ClassTable {
-        class,
-        tag,
-        requests,
-        measured: measurements.len() as u64,
-        selections,
-        winner,
-        final_median_ms,
-        converged_after: converged_after.flatten(),
-    }
-}
-
 /// Run the full study: drive the stream, export the trace, and rebuild
 /// the per-class tables from the serialized JSONL (round-tripping
 /// through [`export::parse_jsonl`] so the tables certify the schema).
@@ -232,13 +154,22 @@ pub fn run_study(cfg: &SortStudyConfig) -> SortStudy {
     let tables = counts
         .iter()
         .map(|&(class, requests)| {
-            let tag = sites.class_site(class).id().tag();
-            table_for(class, tag, requests, &class_measurements(&events, tag))
+            let key = SortKey::new(class, PRESORT_RANDOM);
+            let context = sites
+                .table()
+                .context_id(&key)
+                .expect("driven class must have a context id");
+            table_for(key, context, requests, &events)
         })
+        .collect();
+    let tags = counts
+        .iter()
+        .map(|&(class, _)| sites.class_site(class).id().tag())
         .collect();
     SortStudy {
         config: cfg.clone(),
         tables,
+        tags,
         measured_floor_ms: autotune::robust::timer_resolution_ms(),
         trace_jsonl,
     }
@@ -281,10 +212,11 @@ pub fn save(study: &SortStudy, out: &std::path::Path) -> std::io::Result<()> {
     let tables: Vec<Json> = study
         .tables
         .iter()
-        .map(|t| {
+        .zip(&study.tags)
+        .map(|(t, &tag)| {
             Json::obj(vec![
                 ("class", Json::Num(t.class as f64)),
-                ("tag", Json::Num(t.tag as f64)),
+                ("tag", Json::Num(tag as f64)),
                 ("n_max", Json::Num((1u64 << t.class) as f64)),
                 ("requests", Json::Num(t.requests as f64)),
                 ("measured", Json::Num(t.measured as f64)),
@@ -332,6 +264,7 @@ pub fn save(study: &SortStudy, out: &std::path::Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autotune::telemetry::{Event, EventKind, MeasureStatus};
 
     fn tiny() -> SortStudyConfig {
         SortStudyConfig {
@@ -369,33 +302,40 @@ mod tests {
     #[test]
     fn interleaved_classes_stay_isolated() {
         let _g = crate::ring_lock();
-        // Each class's table counts exactly its own site's events: the
-        // tags are distinct, and recounting the trace per tag reproduces
-        // each table's `measured` (other tests' concurrent events carry
-        // foreign tags and must not leak in).
+        // Each class's table counts exactly its own key's events: the
+        // shared reducer filters on the context id, and because a
+        // full-coverage table gives every key its own site, recounting
+        // the trace by the class site's tag finds the same events.
         let study = run_study(&SortStudyConfig {
             seed: 77003,
             ..tiny()
         });
-        assert_ne!(study.tables[0].tag, study.tables[1].tag);
+        assert_ne!(study.tables[0].context, study.tables[1].context);
+        assert_ne!(study.tags[0], study.tags[1]);
         let events = export::parse_jsonl(&study.trace_jsonl).unwrap();
-        for t in &study.tables {
-            let ok_for_tag = events
-                .iter()
-                .filter(|e| e.site == t.tag)
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        EventKind::MeasureOutcome {
-                            status: MeasureStatus::Ok,
-                            ..
-                        }
-                    )
-                })
-                .count() as u64;
+        for (t, &tag) in study.tables.iter().zip(&study.tags) {
+            let oks = |keep: &dyn Fn(&Event) -> bool| {
+                events
+                    .iter()
+                    .filter(|e| keep(e))
+                    .filter(|e| {
+                        matches!(
+                            e.kind,
+                            EventKind::MeasureOutcome {
+                                status: MeasureStatus::Ok,
+                                ..
+                            }
+                        )
+                    })
+                    .count() as u64
+            };
+            let by_context = oks(&|e| e.context == t.context);
+            let by_tag = oks(&|e| e.site == tag);
+            let by_both = oks(&|e| e.site == tag && e.context == t.context);
             assert_eq!(
-                t.measured, ok_for_tag,
-                "class {}: table and trace must agree",
+                (by_context, by_tag, by_both),
+                (t.measured, t.measured, t.measured),
+                "class {}: table, context filter and tag filter must agree",
                 t.class
             );
         }
